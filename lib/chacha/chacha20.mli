@@ -13,6 +13,7 @@ val key_of_string : string -> key
 val nonce_of_bytes : bytes -> nonce
 (** Exactly 12 bytes. *)
 
-val block : key -> nonce -> int -> bytes
-(** [block key nonce counter] is the 64-byte keystream block for a 32-bit
-    block counter. *)
+val block_into : key -> nonce -> int -> bytes -> unit
+(** [block_into key nonce counter dst] writes the 64-byte keystream block
+    for a 32-bit block counter into [dst.(0..63)]. The state lives in
+    locals and nothing is allocated. *)

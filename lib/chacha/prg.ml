@@ -2,8 +2,10 @@ type t = {
   key : Chacha20.key;
   nonce : Chacha20.nonce;
   mutable counter : int;
-  mutable buf : bytes;
-  mutable pos : int;
+  buf : bytes; (* the current 64-byte keystream block, reused *)
+  mutable pos : int; (* next unread byte of [buf]; 64 = exhausted *)
+  mutable draw : bytes; (* field-sampling candidate straddling two blocks *)
+  mutable limbs : int array; (* field-sampling candidate, decoded; sized to the modulus *)
 }
 
 (* Pad or fold an arbitrary seed string into 32 key bytes. We have no hash
@@ -18,13 +20,17 @@ let key_bytes_of_seed seed =
     seed;
   b
 
+let block_len = 64
+
 let of_key key ~nonce =
   {
     key;
     nonce = [| nonce land 0xFFFFFFFF; (nonce lsr 32) land 0x3FFFFFFF; 0 |];
     counter = 0;
-    buf = Bytes.create 0;
-    pos = 0;
+    buf = Bytes.create block_len;
+    pos = block_len;
+    draw = Bytes.empty;
+    limbs = [||];
   }
 
 let create ?(nonce = 0) ~seed () = of_key (Chacha20.key_of_bytes (key_bytes_of_seed seed)) ~nonce
@@ -32,22 +38,32 @@ let create ?(nonce = 0) ~seed () = of_key (Chacha20.key_of_bytes (key_bytes_of_s
 let c_bytes = Zobs.Counter.make "prg.bytes"
 
 let refill t =
-  t.buf <- Chacha20.block t.key t.nonce t.counter;
-  Zobs.Counter.add c_bytes (Bytes.length t.buf);
+  Chacha20.block_into t.key t.nonce t.counter t.buf;
+  Zobs.Counter.add c_bytes block_len;
   t.counter <- t.counter + 1;
   t.pos <- 0
 
 let byte t =
-  if t.pos >= Bytes.length t.buf then refill t;
+  if t.pos >= block_len then refill t;
   let b = Char.code (Bytes.get t.buf t.pos) in
   t.pos <- t.pos + 1;
   b
 
+(* The next [n] keystream bytes into dst.(off ..), a block run at a time. *)
+let fill t dst off n =
+  let off = ref off and n = ref n in
+  while !n > 0 do
+    if t.pos >= block_len then refill t;
+    let run = min !n (block_len - t.pos) in
+    Bytes.blit t.buf t.pos dst !off run;
+    t.pos <- t.pos + run;
+    off := !off + run;
+    n := !n - run
+  done
+
 let bytes t n =
   let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr (byte t))
-  done;
+  fill t out 0 n;
   out
 
 let split t =
@@ -57,10 +73,9 @@ let split t =
   child
 
 let bits64 t =
-  let b = bytes t 8 in
   let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.get b i)
+  for i = 0 to 7 do
+    v := !v lor (byte t lsl (8 * i))
   done;
   !v land max_int
 
@@ -78,9 +93,31 @@ let bool t = byte t land 1 = 1
    retries count per draw, matching what the verifier actually consumes. *)
 let c_field = Zobs.Counter.make "prg.field"
 
+(* Fieldlib.Fp.sample's rejection sampling, run on the keystream in place:
+   each attempt takes exactly [num_bytes ctx] bytes, keeps the low
+   [bits ctx] bits (Fp.sample's top-byte mask) and decodes them into the
+   reused limb scratch; a candidate at or above the modulus is dropped
+   without allocating, and the accepted one is the only allocation. *)
 let field ctx t =
   Zobs.Counter.incr c_field;
-  Fieldlib.Fp.sample ctx (fun n -> bytes t n)
+  let p = Fieldlib.Fp.modulus ctx and bits = Fieldlib.Fp.bits ctx in
+  let nb = Fieldlib.Fp.num_bytes ctx and width = Fieldlib.Nat.num_limbs p in
+  if Array.length t.limbs <> width then t.limbs <- Array.make width 0;
+  if Bytes.length t.draw < nb then t.draw <- Bytes.create nb;
+  let accepted = ref false in
+  while not !accepted do
+    (* decode straight from the block unless the attempt straddles two *)
+    if block_len - t.pos >= nb then begin
+      Fieldlib.Nat.load_bits_le ~width t.limbs t.buf t.pos ~bits;
+      t.pos <- t.pos + nb
+    end
+    else begin
+      fill t t.draw 0 nb;
+      Fieldlib.Nat.load_bits_le ~width t.limbs t.draw 0 ~bits
+    end;
+    accepted := Fieldlib.Nat.compare_limbs ~width t.limbs p < 0
+  done;
+  Fieldlib.Fp.of_nat ctx (Fieldlib.Nat.of_limbs t.limbs)
 
 let rec field_nonzero ctx t =
   let x = field ctx t in

@@ -58,12 +58,10 @@ let fb_g t = Lazy.force t.g_fb
 let fb_pow t (tab : fb) (e : Nat.t) : element =
   (* Exponents live in Z_q and the tables cover num_bits q, so the generic
      fallback only triggers for out-of-range callers (reduce mod q first). *)
-  if Nat.num_bits e > Montgomery.fb_bits tab then
-    let base = Montgomery.of_mont t.mont (Montgomery.fb_pow t.mont tab Nat.one) in
-    pow t base e
+  if Nat.num_bits e > Montgomery.fb_bits tab then pow t (Montgomery.fb_pow t.mont tab Nat.one) e
   else begin
     Zobs.Counter.incr c_pow_fb;
-    Montgomery.of_mont t.mont (Montgomery.fb_pow t.mont tab e)
+    Montgomery.fb_pow t.mont tab e
   end
 
 let pow2 t (b1 : element) (e1 : Nat.t) (b2 : element) (e2 : Nat.t) : element =

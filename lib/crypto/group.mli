@@ -18,7 +18,8 @@
 open Fieldlib
 
 type fb
-(** A fixed-base window table for one group element (kernel state). *)
+(** A fixed-base window table for one group element: one packed,
+    read-only limb arena, shareable across domains once built. *)
 
 type t = {
   p : Nat.t;  (** group modulus *)
@@ -54,8 +55,9 @@ val fb_g : t -> fb
 
 val fb_pow : t -> fb -> Nat.t -> element
 (** Table-driven exponentiation: one multiplication per nonzero window
-    digit. Falls back to the generic ladder for exponents wider than the
-    table (never the case for exponents in Z_q). *)
+    digit into a scratch register; the returned residue is the only
+    allocation. Falls back to the generic ladder for exponents wider than
+    the table (never the case for exponents in Z_q). *)
 
 val pow2 : t -> element -> Nat.t -> element -> Nat.t -> element
 (** [pow2 t b1 e1 b2 e2 = b1^e1 * b2^e2], Shamir/Straus simultaneous

@@ -135,14 +135,8 @@ let mul_low (dst : a) dso (x : a) xo wa (y : a) yo wb wout =
     end
   done
 
-(* Boundary codecs: boxed <-> packed. Only these two allocate. *)
+(* Boundary codecs: boxed <-> packed. Only [to_nat] allocates (its
+   result). *)
 
-let of_nat (n : Nat.t) (dst : a) off w =
-  let l = Nat.to_limbs ~width:w n in
-  for i = 0 to w - 1 do
-    set dst (off + i) l.(i)
-  done
-
-let to_nat (src : a) off w =
-  let l = Array.init w (fun i -> get src (off + i)) in
-  Nat.of_limbs l
+let of_nat (n : Nat.t) (dst : a) off w = Nat.to_slice n dst off w
+let to_nat (src : a) off w = Nat.of_slice src off w

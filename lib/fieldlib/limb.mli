@@ -3,8 +3,8 @@
     zero-allocation field kernels ({!Fp.Vec}, the packed NTT butterflies,
     the Pippenger bucket arena): the GC sees one custom block instead of a
     boxed [int array] per element. All kernels are offset/width-addressed
-    and allocation-free; only the {!of_nat}/{!to_nat} boundary codecs
-    allocate. *)
+    and allocation-free; only {!to_nat} allocates (the natural it
+    returns). *)
 
 type a = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -12,8 +12,10 @@ val create : int -> a
 (** Zero-filled buffer of [n] limbs. *)
 
 val length : a -> int
-val get : a -> int -> int
-val set : a -> int -> int -> unit
+(* Unchecked limb access, inlined at the call site. *)
+
+external get : a -> int -> int = "%caml_ba_unsafe_ref_1"
+external set : a -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 val fill : a -> int -> int -> int -> unit
 (** [fill b off w v] sets [b.(off .. off+w-1)] to [v]. *)
 

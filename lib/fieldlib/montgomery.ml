@@ -3,7 +3,7 @@ type ctx = {
   k : int; (* limbs of p; R = 2^(31k) *)
   r_mod_p : Nat.t; (* R mod p: the Montgomery form of 1 *)
   r2_mod_p : Nat.t; (* R^2 mod p: converts into Montgomery form *)
-  p' : Nat.t; (* -p^{-1} mod R *)
+  n0 : int; (* -p^{-1} mod 2^31: the per-limb REDC multiplier *)
 }
 
 type el = Nat.t
@@ -15,29 +15,16 @@ let c_mul = Zobs.Counter.make "mont.mul"
 let modulus ctx = ctx.p
 let equal = Nat.equal
 
-(* p^{-1} mod 2^(31k) by Hensel lifting: x <- x (2 - p x) doubles the
-   number of correct low bits each step. *)
-let inv_mod_r p k =
-  let r_bits = 31 * k in
-  let two = Nat.two in
-  let x = ref Nat.one in
-  (* p odd => p^{-1} = 1 (mod 2) *)
-  let prec = ref 1 in
-  while !prec < r_bits do
-    prec := min (2 * !prec) r_bits;
-    let px = Nat.mul p !x in
-    let px = Nat.truncate_limbs px (((!prec + 30) / 31) + 1) in
-    (* x (2 - p x) mod 2^prec, computed as x*2 - x*p*x avoiding negatives:
-       2 - px == 2 + (2^prec - px) mod 2^prec *)
-    let modulus_prec = Nat.shift_left Nat.one !prec in
-    let px_mod = snd (Nat.divmod px modulus_prec) in
-    let t =
-      if Nat.compare two px_mod >= 0 then Nat.sub two px_mod
-      else Nat.sub (Nat.add modulus_prec two) px_mod
-    in
-    x := snd (Nat.divmod (Nat.mul !x t) modulus_prec)
+let lmask = (1 lsl 31) - 1
+
+(* -p0^{-1} mod 2^31 for odd p0 by Hensel lifting: x = p0 is already
+   right mod 8, and x <- x (2 - p0 x) doubles the correct low bits. *)
+let neg_inv_limb p0 =
+  let x = ref p0 in
+  for _ = 1 to 4 do
+    x := (!x * ((2 - (p0 * !x)) land lmask)) land lmask
   done;
-  !x
+  (- !x) land lmask
 
 let create p =
   if Nat.is_even p || Nat.compare p (Nat.of_int 3) < 0 then
@@ -46,30 +33,138 @@ let create p =
   let r = Nat.shift_left Nat.one (31 * k) in
   let r_mod_p = snd (Nat.divmod r p) in
   let r2_mod_p = snd (Nat.divmod (Nat.sqr r_mod_p) p) in
-  let r2_mod_p = r2_mod_p in
-  let inv = inv_mod_r p k in
-  let p' = Nat.sub r inv in
-  { p; k; r_mod_p; r2_mod_p; p' }
+  { p; k; r_mod_p; r2_mod_p; n0 = neg_inv_limb (Nat.limb p 0) }
 
-(* REDC: given t < p*R, return t R^{-1} mod p. *)
-let redc ctx t =
-  let m = Nat.truncate_limbs (Nat.mul (Nat.truncate_limbs t ctx.k) ctx.p') ctx.k in
-  let u = Nat.shift_right_limbs (Nat.add t (Nat.mul m ctx.p)) ctx.k in
-  if Nat.compare u ctx.p >= 0 then Nat.sub u ctx.p else u
+(* ------------------------------------------------------------------ *)
+(* Packed REDC: the one Montgomery product, on limb slices              *)
+(* ------------------------------------------------------------------ *)
 
+(* Scratch for the packed Montgomery product. [t] is the (k+2)-limb CIOS
+   accumulator; [consts] holds p, 1 and R^2 mod p (k limbs each); [reg]
+   and [reg2] are k-limb registers for boxed operands, the boundary
+   conversions and the fixed-base accumulator. Owned by one domain;
+   obtain via [scratch_for]. *)
+type scratch = {
+  mk : int;
+  n0 : int;
+  consts : Limb.a; (* 3k limbs: p | 1 | R^2 mod p *)
+  t : Limb.a; (* k+2 limbs *)
+  reg : Limb.a; (* k limbs *)
+  reg2 : Limb.a; (* k limbs: the second operand of a boxed [mul] *)
+}
+
+let c_one sc = sc.mk
+let c_r2 sc = 2 * sc.mk
+
+let scratch_create ctx =
+  let k = ctx.k in
+  let consts = Limb.create (3 * k) in
+  Limb.of_nat ctx.p consts 0 k;
+  Limb.of_nat Nat.one consts k k;
+  Limb.of_nat ctx.r2_mod_p consts (2 * k) k;
+  { mk = k; n0 = ctx.n0; consts; t = Limb.create (k + 2); reg = Limb.create k; reg2 = Limb.create k }
+
+(* One scratch per (domain, modulus), in a short domain-local list keyed
+   by the modulus value: a prover rebuilds the group context for every
+   session (Group.of_params), and all those contexts must share one
+   scratch rather than leave one behind each — the list would grow with
+   the session count, and so would the scan in every boxed [mul]. *)
+let scratch_cap = 4
+
+let scratch_dls : (Nat.t * scratch) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let rec find_scratch p = function
+  | [] -> raise Not_found
+  | (q, sc) :: rest -> if Nat.equal q p then sc else find_scratch p rest
+
+let scratch_for ctx =
+  let cache = Domain.DLS.get scratch_dls in
+  match !cache with
+  | (q, sc) :: _ when q == ctx.p -> sc
+  | entries ->
+    let sc = try find_scratch ctx.p entries with Not_found -> scratch_create ctx in
+    (* most recent first, keyed by this context's modulus *)
+    let rest = List.filter (fun (_, s) -> s != sc) entries in
+    cache := (ctx.p, sc) :: List.filteri (fun i _ -> i < scratch_cap - 1) rest;
+    sc
+
+(* dst <- a * b * R^{-1} mod p on k-limb slices (inputs < p), uncounted:
+   the boundary conversions use it with b = 1 or R^2, which are not
+   multiplications of the exponentiation ladder. CIOS form — one
+   multiply-accumulate row and one reduction row per limb of b, 2k^2
+   limb products in a single k+2-limb accumulator — so the result equals
+   the textbook REDC(a * b) (both are the canonical residue). Each step
+   is limb * limb + limb + limb <= 2^62 - 1. [dst] may alias either
+   input slice (it is written last). Zero allocations. *)
+let redc_into sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
+  let k = sc.mk and t = sc.t and p = sc.consts and n0 = sc.n0 in
+  Limb.fill t 0 (k + 2) 0;
+  for i = 0 to k - 1 do
+    let bi = Limb.get b (bo + i) in
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let s = Limb.get t j + (Limb.get a (ao + j) * bi) + !c in
+      Limb.set t j (s land lmask);
+      c := s lsr 31
+    done;
+    let s = Limb.get t k + !c in
+    Limb.set t k (s land lmask);
+    Limb.set t (k + 1) (s lsr 31);
+    (* add m * p with m chosen so the low limb cancels, then shift one limb *)
+    let m = (Limb.get t 0 * n0) land lmask in
+    let c = ref ((Limb.get t 0 + (m * Limb.get p 0)) lsr 31) in
+    for j = 1 to k - 1 do
+      let s = Limb.get t j + (m * Limb.get p j) + !c in
+      Limb.set t (j - 1) (s land lmask);
+      c := s lsr 31
+    done;
+    let s = Limb.get t k + !c in
+    Limb.set t (k - 1) (s land lmask);
+    Limb.set t k (Limb.get t (k + 1) + (s lsr 31))
+  done;
+  (* t < 2p over k limbs plus the top limb t.(k): one conditional
+     subtraction (its borrow cancels the top limb). *)
+  if Limb.get t k <> 0 || Limb.cmp t 0 p 0 k >= 0 then ignore (Limb.sub dst dso t 0 p 0 k)
+  else Limb.blit t 0 dst dso k
+
+(* dst <- REDC(a * b), everything in Montgomery form. One counted
+   [mont.mul], zero allocations. *)
+let mul_into _ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
+  Zobs.Counter.incr c_mul;
+  redc_into sc dst dso a ao b bo
+
+(* Boundary conversions through the packed REDC: one load, one REDC, and
+   the returned natural is the only allocation. *)
+let to_mont ctx x =
+  if Nat.compare x ctx.p >= 0 then invalid_arg "Montgomery.to_mont: input not reduced";
+  let sc = scratch_for ctx in
+  Limb.of_nat x sc.reg 0 sc.mk;
+  redc_into sc sc.reg 0 sc.reg 0 sc.consts (c_r2 sc);
+  Limb.to_nat sc.reg 0 sc.mk
+
+let of_mont ctx x =
+  let sc = scratch_for ctx in
+  Limb.of_nat x sc.reg 0 sc.mk;
+  redc_into sc sc.reg 0 sc.reg 0 sc.consts (c_one sc);
+  Limb.to_nat sc.reg 0 sc.mk
+
+(* Boxed operands go through the same packed product: load, REDC, and
+   the returned natural is the only allocation. *)
 let mul ctx a b =
   Zobs.Counter.incr c_mul;
-  redc ctx (Nat.mul a b)
+  let sc = scratch_for ctx in
+  Limb.of_nat a sc.reg 0 sc.mk;
+  Limb.of_nat b sc.reg2 0 sc.mk;
+  redc_into sc sc.reg 0 sc.reg 0 sc.reg2 0;
+  Limb.to_nat sc.reg 0 sc.mk
 
 let sqr ctx a =
   Zobs.Counter.incr c_mul;
-  redc ctx (Nat.sqr a)
-
-let to_mont ctx x =
-  if Nat.compare x ctx.p >= 0 then invalid_arg "Montgomery.to_mont: input not reduced";
-  redc ctx (Nat.mul x ctx.r2_mod_p)
-
-let of_mont ctx x = redc ctx x
+  let sc = scratch_for ctx in
+  Limb.of_nat a sc.reg 0 sc.mk;
+  redc_into sc sc.reg 0 sc.reg 0 sc.reg 0;
+  Limb.to_nat sc.reg 0 sc.mk
 
 let one ctx = ctx.r_mod_p
 let zero _ctx = Nat.zero
@@ -92,15 +187,6 @@ let pow ctx b e =
 (* ------------------------------------------------------------------ *)
 (* Exponentiation kernels (DESIGN.md §8)                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Read bits [lo, lo+w) of e as an integer (w <= 30). *)
-let digit e ~nbits ~lo ~w =
-  let d = ref 0 in
-  let hi = min (nbits - 1) (lo + w - 1) in
-  for j = hi downto lo do
-    d := (!d lsl 1) lor (if Nat.testbit e j then 1 else 0)
-  done;
-  !d
 
 (* Sliding-window square-and-multiply: one table of odd powers
    b, b^3, ..., b^(2^w - 1), then ~nbits/(w+1) multiplications instead of
@@ -129,7 +215,7 @@ let pow_window ctx b e =
           incr l
         done;
         let width = !i - !l + 1 in
-        let d = digit e ~nbits ~lo:!l ~w:width in
+        let d = Nat.bits e ~lo:!l ~w:width in
         for _ = 1 to width do
           acc := sqr ctx !acc
         done;
@@ -139,51 +225,6 @@ let pow_window ctx b e =
     done;
     !acc
   end
-
-(* Fixed-base windowed precomputation: tables.(i).(j-1) = b^(j * 2^(w*i)),
-   so b^e is one multiplication per nonzero base-2^w digit of e — no
-   squarings at all once the table exists. The table costs about
-   (bits/w) * 2^w multiplications and pays for itself after a handful of
-   exponentiations. *)
-type fb = {
-  fb_window : int;
-  fb_digits : int;
-  fb_tables : el array array;
-}
-
-let fb_precompute ctx ?(window = 5) ~bits b =
-  if window < 1 || window > 16 then invalid_arg "Montgomery.fb_precompute: window out of range";
-  if bits < 1 then invalid_arg "Montgomery.fb_precompute: bits must be positive";
-  let digits = (bits + window - 1) / window in
-  let m = (1 lsl window) - 1 in
-  let base = ref b in
-  let tables = Array.make digits [||] in
-  for i = 0 to digits - 1 do
-    let t = Array.make m !base in
-    for j = 1 to m - 1 do
-      t.(j) <- mul ctx t.(j - 1) !base
-    done;
-    tables.(i) <- t;
-    if i < digits - 1 then
-      for _ = 1 to window do
-        base := sqr ctx !base
-      done
-  done;
-  { fb_window = window; fb_digits = digits; fb_tables = tables }
-
-let fb_bits fb = fb.fb_window * fb.fb_digits
-
-let fb_pow ctx fb e =
-  let nbits = Nat.num_bits e in
-  if nbits > fb_bits fb then invalid_arg "Montgomery.fb_pow: exponent wider than the table";
-  let acc = ref (one ctx) in
-  let i = ref 0 in
-  while !i * fb.fb_window < nbits do
-    let d = digit e ~nbits ~lo:(!i * fb.fb_window) ~w:fb.fb_window in
-    if d <> 0 then acc := mul ctx !acc fb.fb_tables.(!i).(d - 1);
-    incr i
-  done;
-  !acc
 
 (* Shamir/Straus simultaneous exponentiation: b1^e1 * b2^e2 in one shared
    squaring chain with a precomputed b1*b2 — about half the cost of two
@@ -204,59 +245,63 @@ let pow2 ctx b1 e1 b2 e2 =
     !acc
   end
 
-(* ------------------------------------------------------------------ *)
-(* Packed REDC: limb-slice kernels and scratch arenas                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Scratch for REDC on packed slices. Layout of [mtmp] (k limbs of p):
-     [0, 2k)    t = a * b, then t + m*p
-     [2k, 3k)   m = t * p' mod B^k
-     [3k, 5k)   m * p
-   Owned by one domain; obtain via [scratch_for]. *)
-type scratch = {
-  mk : int;
-  mp_l : Limb.a; (* k limbs: p *)
-  mp'_l : Limb.a; (* k limbs: p' *)
-  mtmp : Limb.a; (* 5k limbs *)
+(* Fixed-base windowed precomputation: entry (i, j-1) of the packed table
+   holds b^(j * 2^(w*i)) (Montgomery form), so b^e is one multiplication
+   per nonzero base-2^w digit of e — no squarings at all once the table
+   exists. The table costs about (bits/w) * 2^w multiplications and pays
+   for itself after a handful of exponentiations. Entries are k-limb
+   slices of one read-only arena, shareable across domains. *)
+type fb = {
+  fb_window : int;
+  fb_digits : int;
+  fb_k : int;
+  fb_tab : Limb.a; (* digits * (2^w - 1) entries of k limbs *)
 }
 
-let scratch_create ctx =
+let fb_precompute ctx ?(window = 5) ~bits b =
+  if window < 1 || window > 16 then invalid_arg "Montgomery.fb_precompute: window out of range";
+  if bits < 1 then invalid_arg "Montgomery.fb_precompute: bits must be positive";
   let k = ctx.k in
-  let mp_l = Limb.create k in
-  Limb.of_nat ctx.p mp_l 0 k;
-  let mp'_l = Limb.create k in
-  Limb.of_nat ctx.p' mp'_l 0 k;
-  { mk = k; mp_l; mp'_l; mtmp = Limb.create (5 * k) }
+  let sc = scratch_for ctx in
+  let digits = (bits + window - 1) / window in
+  let m = (1 lsl window) - 1 in
+  let tab = Limb.create (digits * m * k) in
+  (* [sc.reg] carries b^(2^(w*i)) from row to row. *)
+  Limb.of_nat b sc.reg 0 k;
+  for i = 0 to digits - 1 do
+    let row = i * m * k in
+    Limb.blit sc.reg 0 tab row k;
+    for j = 1 to m - 1 do
+      mul_into ctx sc tab (row + (j * k)) tab (row + ((j - 1) * k)) sc.reg 0
+    done;
+    if i < digits - 1 then
+      for _ = 1 to window do
+        mul_into ctx sc sc.reg 0 sc.reg 0 sc.reg 0
+      done
+  done;
+  { fb_window = window; fb_digits = digits; fb_k = k; fb_tab = tab }
 
-let scratch_dls : (ctx * scratch) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let fb_bits fb = fb.fb_window * fb.fb_digits
 
-let scratch_for ctx =
-  let cache = Domain.DLS.get scratch_dls in
-  match List.find_opt (fun (c, _) -> c == ctx) !cache with
-  | Some (_, sc) -> sc
-  | None ->
-    let sc = scratch_create ctx in
-    cache := (ctx, sc) :: !cache;
-    sc
-
-(* dst <- REDC(a * b) on k-limb slices, everything in Montgomery form.
-   [dst] may alias either input slice (inputs are consumed before [dst] is
-   written). One counted [mont.mul], zero allocations. *)
-let mul_into _ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
-  Zobs.Counter.incr c_mul;
-  let k = sc.mk in
-  let t = sc.mtmp in
-  Limb.mul t 0 a ao k b bo k;
-  Limb.mul_low t (2 * k) t 0 k sc.mp'_l 0 k k;
-  Limb.mul t (3 * k) t (2 * k) k sc.mp_l 0 k;
-  let carry = Limb.add t 0 t 0 t (3 * k) (2 * k) in
-  (* u = (t + m*p) / B^k: limbs [k, 2k) with a virtual top limb [carry];
-     u < 2p, so one conditional subtraction suffices (the borrow cancels
-     the virtual carry). *)
-  if carry = 1 || Limb.cmp t k sc.mp_l 0 k >= 0 then
-    ignore (Limb.sub dst dso t k sc.mp_l 0 k)
-  else Limb.blit t k dst dso k
+(* The accumulator starts from one in Montgomery form and multiplies
+   every nonzero digit's entry in (counted [mont.mul]s, as a ladder
+   would); the final REDC by 1 leaves Montgomery form in the register, so
+   the returned residue is the only allocation. *)
+let fb_pow ctx fb e =
+  let nbits = Nat.num_bits e in
+  if nbits > fb_bits fb then invalid_arg "Montgomery.fb_pow: exponent wider than the table";
+  let k = fb.fb_k in
+  let sc = scratch_for ctx in
+  let w = fb.fb_window and m = (1 lsl fb.fb_window) - 1 in
+  Limb.of_nat ctx.r_mod_p sc.reg 0 k;
+  let i = ref 0 in
+  while !i * w < nbits do
+    let d = Nat.bits e ~lo:(!i * w) ~w in
+    if d <> 0 then mul_into ctx sc sc.reg 0 sc.reg 0 fb.fb_tab (((!i * m) + d - 1) * k);
+    incr i
+  done;
+  redc_into sc sc.reg 0 sc.reg 0 sc.consts (c_one sc);
+  Limb.to_nat sc.reg 0 k
 
 (* Pippenger bucket multi-exponentiation: prod_i bases.(i)^exps.(i).
    Exponents are scanned c bits at a time from the top; within a window
@@ -311,7 +356,7 @@ let multi_pow ctx ?window (bases : el array) (exps : Nat.t array) =
         let e = exps.(i) in
         let nbits = Nat.num_bits e in
         if lo < nbits then begin
-          let dv = digit e ~nbits ~lo ~w:c in
+          let dv = Nat.bits e ~lo ~w:c in
           if dv <> 0 then begin
             let off = (dv - 1) * k in
             if occupied.(dv - 1) then mul_into ctx sc buckets off buckets off packed (i * k)

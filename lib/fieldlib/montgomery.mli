@@ -4,8 +4,11 @@
     ElGamal, §5.1's e/d/h costs).
 
     Elements live in Montgomery representation (xR mod p, R = 2^(31k));
-    convert at the boundary with {!to_mont}/{!of_mont}. The ablation bench
-    compares a Barrett and a Montgomery exponentiation ladder. *)
+    convert at the boundary with {!to_mont}/{!of_mont}. Every product —
+    boxed or packed — runs the one CIOS REDC kernel behind {!mul_into} on
+    limb slices, so a boxed {!mul} allocates only its result. The
+    ablation bench compares a Barrett and a Montgomery exponentiation
+    ladder. *)
 
 open Nat
 
@@ -20,7 +23,8 @@ val create : t -> ctx
 val modulus : ctx -> t
 
 val to_mont : ctx -> t -> el
-(** Input must be reduced (< p). *)
+(** Input must be reduced (< p). Both conversions run one uncounted REDC
+    and allocate only their result. *)
 
 val of_mont : ctx -> el -> t
 
@@ -46,7 +50,8 @@ val pow_window : ctx -> el -> t -> el
 type fb
 (** A fixed-base window table: precomputed powers [b^(j * 2^(w*i))] so any
     exponent below the table width costs one multiplication per nonzero
-    base-[2^w] digit — no squarings. *)
+    base-[2^w] digit — no squarings. The entries are k-limb slices of one
+    packed, read-only {!Limb.a} arena (shareable across domains). *)
 
 val fb_precompute : ctx -> ?window:int -> bits:int -> el -> fb
 (** [fb_precompute ctx ~window ~bits b] builds the table covering exponents
@@ -56,8 +61,12 @@ val fb_precompute : ctx -> ?window:int -> bits:int -> el -> fb
 val fb_bits : fb -> int
 (** Widest supported exponent, in bits. *)
 
-val fb_pow : ctx -> fb -> t -> el
-(** Raises [Invalid_argument] if the exponent is wider than the table. *)
+val fb_pow : ctx -> fb -> t -> t
+(** [fb_pow ctx fb e] is [b^e mod p] as a plain residue (out of
+    Montgomery form). The accumulator is a packed scratch register
+    starting from one in Montgomery form, with one counted [mont.mul] per
+    nonzero digit; the returned natural is the only allocation. Raises
+    [Invalid_argument] if the exponent is wider than the table. *)
 
 val pow2 : ctx -> el -> t -> el -> t -> el
 (** [pow2 ctx b1 e1 b2 e2 = b1^e1 * b2^e2] by Shamir/Straus simultaneous
@@ -74,8 +83,8 @@ val multi_pow : ctx -> ?window:int -> el array -> t array -> el
 
 (** {2 Packed kernels}
 
-    REDC on {!Limb.a} slices. A {!scratch} is owned by one domain —
-    obtain it with {!scratch_for} (domain-local, cached per context); see
+    CIOS REDC on {!Limb.a} slices. A {!scratch} is owned by one domain —
+    obtain it with {!scratch_for} (domain-local, cached per modulus); see
     DESIGN.md §13 for the ownership discipline. *)
 
 type scratch
@@ -86,7 +95,8 @@ val scratch_for : ctx -> scratch
 val mul_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int -> unit
 (** [mul_into ctx sc dst dso a ao b bo]: the k-limb slice of [dst] at
     [dso] gets [REDC(a * b)] of the k-limb input slices (all Montgomery
-    form). [dst] may alias either input slice. One counted [mont.mul]. *)
+    form, reduced). [dst] may alias either input slice. One counted
+    [mont.mul], zero allocations. *)
 
 val pow_nat : ctx -> t -> t -> t
 (** [pow_nat ctx b e]: convenience [b^e mod p] over plain naturals

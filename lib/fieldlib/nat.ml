@@ -59,27 +59,42 @@ let to_int a =
 let compare a b =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
+  else begin
+    (* a loop, not a local [let rec]: the closure would cost 5 words per
+       same-length comparison, i.e. per field add/sub/reduce *)
+    let i = ref (la - 1) in
+    while !i >= 0 && a.(!i) = b.(!i) do decr i done;
+    if !i < 0 then 0 else Stdlib.compare a.(!i) b.(!i)
+  end
 
 let equal a b = compare a b = 0
 
+(* Bit length of 0 <= v < 2^31, by halving. *)
+let bit_length v =
+  let n = ref 0 and v = ref v in
+  if !v >= 1 lsl 16 then begin n := 16; v := !v lsr 16 end;
+  if !v >= 1 lsl 8 then begin n := !n + 8; v := !v lsr 8 end;
+  if !v >= 1 lsl 4 then begin n := !n + 4; v := !v lsr 4 end;
+  if !v >= 1 lsl 2 then begin n := !n + 2; v := !v lsr 2 end;
+  if !v >= 2 then begin n := !n + 1; v := !v lsr 1 end;
+  !n + !v
+
 let num_bits a =
   let l = Array.length a in
-  if l = 0 then 0
-  else
-    let top = a.(l - 1) in
-    let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-    ((l - 1) * base_bits) + bits top 0
+  if l = 0 then 0 else ((l - 1) * base_bits) + bit_length a.(l - 1)
 
 let testbit a i =
   let limb = i / base_bits and off = i mod base_bits in
   limb < Array.length a && (a.(limb) lsr off) land 1 = 1
+
+let limb (a : t) i = if i < Array.length a then a.(i) else 0
+
+(* Bits [lo, lo+w) of [a] as an int, w <= 31: at most two limbs. *)
+let bits a ~lo ~w =
+  let limb_i = lo / base_bits and off = lo mod base_bits in
+  let v = limb a limb_i lsr off in
+  let v = if off + w > base_bits then v lor (limb a (limb_i + 1) lsl (base_bits - off)) else v in
+  v land ((1 lsl w) - 1)
 
 let is_even a = Array.length a = 0 || a.(0) land 1 = 0
 
@@ -403,25 +418,78 @@ let to_decimal a =
       Buffer.contents buf
   end
 
-let of_bytes_le b =
-  let acc = ref zero in
-  for i = Bytes.length b - 1 downto 0 do
-    acc := add_int (shift_left !acc 8) (Char.code (Bytes.get b i))
+(* ---- Byte codecs --------------------------------------------------
+   Bytes are packed straight into base-2^31 limbs through a bit
+   accumulator: each byte is read or written once and the only
+   allocation is the value returned. *)
+
+(* Little-endian decode of the low [bits] bits of [b.(off .. off+ceil(bits/8)-1)]
+   into [dst.(0 .. width-1)] (zero-padded); bits past [bits] in the top
+   byte are dropped. The value must fit [width] limbs. *)
+let load_bits_le ~width (dst : int array) b off ~bits =
+  let nbytes = (bits + 7) / 8 in
+  let top_mask = (1 lsl (bits - (8 * (nbytes - 1)))) - 1 in
+  let acc = ref 0 and accbits = ref 0 and li = ref 0 in
+  for i = 0 to nbytes - 1 do
+    let byte = Char.code (Bytes.get b (off + i)) in
+    let byte = if i = nbytes - 1 then byte land top_mask else byte in
+    acc := !acc lor (byte lsl !accbits);
+    accbits := !accbits + 8;
+    if !accbits >= base_bits then begin
+      dst.(!li) <- !acc land mask;
+      incr li;
+      acc := !acc lsr base_bits;
+      accbits := !accbits - base_bits
+    end
   done;
-  !acc
+  if !acc <> 0 then begin
+    dst.(!li) <- !acc;
+    incr li
+  end;
+  Array.fill dst !li (width - !li) 0
+
+let of_bytes_sub b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Nat.of_bytes_sub";
+  let n = ref len in
+  while !n > 0 && Bytes.get b (off + !n - 1) = '\000' do
+    decr n
+  done;
+  if !n = 0 then zero
+  else begin
+    let bits = (8 * (!n - 1)) + bit_length (Char.code (Bytes.get b (off + !n - 1))) in
+    let width = (bits + base_bits - 1) / base_bits in
+    let r = Array.make width 0 in
+    load_bits_le ~width r b off ~bits;
+    r
+  end
+
+let of_bytes_le b = of_bytes_sub b 0 (Bytes.length b)
+
+(* Byte [i] (little-endian) of [a]: bits [8i, 8i+8) span at most two
+   limbs. *)
+let byte_at a i =
+  let la = Array.length a in
+  let limb = (8 * i) / base_bits and off = (8 * i) mod base_bits in
+  if limb >= la then 0
+  else begin
+    let lo = a.(limb) lsr off in
+    let hi = if off > base_bits - 8 && limb + 1 < la then a.(limb + 1) lsl (base_bits - off) else 0 in
+    (lo lor hi) land 0xff
+  end
+
+let check_fits a len = if num_bits a > len * 8 then invalid_arg "Nat.to_bytes_le: does not fit"
 
 let to_bytes_le a len =
-  if num_bits a > len * 8 then invalid_arg "Nat.to_bytes_le: does not fit";
-  let b = Bytes.make len '\000' in
-  let bits = num_bits a in
-  for i = 0 to ((bits + 7) / 8) - 1 do
-    let byte = ref 0 in
-    for k = 7 downto 0 do
-      byte := (!byte lsl 1) lor (if testbit a ((i * 8) + k) then 1 else 0)
-    done;
-    Bytes.set b i (Char.chr !byte)
+  check_fits a len;
+  Bytes.init len (fun i -> Char.unsafe_chr (byte_at a i))
+
+let add_bytes_le buf a len =
+  check_fits a len;
+  (* two bytes per call: Buffer's uint16 writer takes an unboxed int *)
+  for i = 0 to (len / 2) - 1 do
+    Buffer.add_uint16_le buf (bits a ~lo:(16 * i) ~w:16)
   done;
-  b
+  if len land 1 = 1 then Buffer.add_char buf (Char.unsafe_chr (byte_at a (len - 1)))
 
 (* ---- Fixed-width in-place kernels -------------------------------------
    These operate on plain [int array] limb buffers of a caller-chosen fixed
@@ -436,7 +504,45 @@ let to_limbs ~width (a : t) : int array =
   Array.blit a 0 r 0 la;
   r
 
-let of_limbs (l : int array) : t = norm (Array.copy l)
+let of_limbs (l : int array) : t =
+  let n = ref (Array.length l) in
+  while !n > 0 && l.(!n - 1) = 0 do decr n done;
+  Array.sub l 0 !n
+
+(* Compare a [width]-limb buffer with a natural. *)
+let compare_limbs ~width (l : int array) (b : t) =
+  let lb = Array.length b in
+  let r = ref 0 and i = ref (max width lb - 1) in
+  while !r = 0 && !i >= 0 do
+    let x = if !i < width then l.(!i) else 0 and y = if !i < lb then b.(!i) else 0 in
+    if x < y then r := -1 else if x > y then r := 1;
+    decr i
+  done;
+  !r
+
+(* Packed slices: the [Limb.a] Bigarray layout, encoded here so the
+   boundary codecs touch the representation directly. *)
+type slice = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external slice_get : slice -> int -> int = "%caml_ba_ref_1"
+external slice_set : slice -> int -> int -> unit = "%caml_ba_set_1"
+
+let to_slice (a : t) (dst : slice) off w =
+  let la = Array.length a in
+  if la > w then invalid_arg "Nat.to_slice: width too small";
+  for i = 0 to w - 1 do
+    slice_set dst (off + i) (if i < la then a.(i) else 0)
+  done
+
+let of_slice (src : slice) off w : t =
+  let n = ref w in
+  while !n > 0 && slice_get src (off + !n - 1) = 0 do decr n done;
+  let r = Array.make !n 0 in
+  for i = 0 to !n - 1 do
+    r.(i) <- slice_get src (off + i)
+  done;
+  r
+
 
 let add_into ~width (dst : int array) (a : int array) (b : int array) : int =
   let carry = ref 0 in

@@ -76,10 +76,31 @@ val to_hex : t -> string
 val of_decimal : string -> t
 val to_decimal : t -> string
 
+(** {2 Byte codecs}
+
+    Little-endian, packed straight into base-2^31 limbs: O(bytes), each
+    byte touched once, and nothing allocated but the value returned. *)
+
 val of_bytes_le : bytes -> t
+
+val of_bytes_sub : bytes -> int -> int -> t
+(** [of_bytes_sub b off len] decodes [b.(off .. off+len-1)] in place (no
+    intermediate copy). *)
+
 val to_bytes_le : t -> int -> bytes
 (** [to_bytes_le n len] zero-pads to exactly [len] bytes; raises
     [Invalid_argument] if [n] does not fit. *)
+
+val add_bytes_le : Buffer.t -> t -> int -> unit
+(** [add_bytes_le buf n len] appends the [len]-byte encoding to [buf];
+    raises as {!to_bytes_le}. *)
+
+val load_bits_le : width:int -> int array -> bytes -> int -> bits:int -> unit
+(** [load_bits_le ~width dst b off ~bits] decodes the low [bits] bits of
+    the [ceil(bits/8)] bytes at [b.(off)] into the [width]-limb buffer
+    [dst] (zero-padded; higher bits of the top byte are dropped). The
+    value must fit [width] limbs. Allocation-free: the rejection-sampling
+    kernel of [Chacha.Prg.field]. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -102,7 +123,30 @@ val to_limbs : width:int -> t -> int array
     than [width] limbs. *)
 
 val of_limbs : int array -> t
-(** Canonicalizing copy of a limb buffer. *)
+(** Canonicalizing copy of a limb buffer (one allocation). *)
+
+val compare_limbs : width:int -> int array -> t -> int
+(** Compare a [width]-limb buffer, read as a natural, with a natural. *)
+
+val limb : t -> int -> int
+(** [limb n i] is limb [i] (base 2^31), zero past the top. *)
+
+val bits : t -> lo:int -> w:int -> int
+(** [bits n ~lo ~w] is bits [lo, lo+w) of [n] as an int, [w <= 31]. *)
+
+(** {2 Packed slices}
+
+    Codecs to and from one fixed-width slice of a {!Limb.a} arena (the
+    same Bigarray type). Each touches the limbs once; {!of_slice}
+    allocates only its result. *)
+
+type slice = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val to_slice : t -> slice -> int -> int -> unit
+(** [to_slice n dst off w] writes [n] zero-padded into [w] limbs; raises
+    [Invalid_argument] if it does not fit. *)
+
+val of_slice : slice -> int -> int -> t
 
 val add_into : width:int -> int array -> int array -> int array -> int
 (** [add_into ~width dst a b] sets [dst.(0..width-1) <- a + b] and returns

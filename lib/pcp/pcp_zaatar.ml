@@ -67,14 +67,18 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
   let ctx = Qapb.ctx qap in
   let n' = (Qapb.sys qap).R1cs.num_z in
   let hl = Qapb.h_len qap in
-  let zq = ref [] and hq = ref [] and nz = ref 0 and nh = ref 0 in
+  (* Per repetition: 3 rho_lin linearity queries per oracle, plus the
+     three blinded z queries and the one blinded h query. *)
+  let zq = Array.make (params.rho * ((3 * params.rho_lin) + 3)) [||] in
+  let hq = Array.make (params.rho * ((3 * params.rho_lin) + 1)) [||] in
+  let nz = ref 0 and nh = ref 0 in
   let push_z q =
-    zq := q :: !zq;
+    zq.(!nz) <- q;
     incr nz;
     !nz - 1
   in
   let push_h q =
-    hq := q :: !hq;
+    hq.(!nh) <- q;
     incr nh;
     !nh - 1
   in
@@ -92,8 +96,7 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
     let lin_h = Array.init params.rho_lin (fun _ -> lin_triple push_h hl) in
     let iblind_z, _, _ = lin_z.(0) in
     let iblind_h, _, _ = lin_h.(0) in
-    let q5 = (List.nth !zq (!nz - 1 - iblind_z) : Fp.el array) in
-    let q8 = List.nth !hq (!nh - 1 - iblind_h) in
+    let q5 = zq.(iblind_z) and q8 = hq.(iblind_h) in
     let qap_q = fresh_tau ctx qap prg in
     let qa = Qapb.z_slice qap qap_q.Qapb.a_tau in
     let qb = Qapb.z_slice qap qap_q.Qapb.b_tau in
@@ -105,13 +108,8 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
     { lin_z; lin_h; iq1; iq2; iq3; iq4; iblind_z; iblind_h; qap_q }
   in
   let reps = Array.init params.rho (fun _ -> repetition ()) in
-  let q =
-    {
-      z_queries = Array.of_list (List.rev !zq);
-      h_queries = Array.of_list (List.rev !hq);
-      reps;
-    }
-  in
+  assert (!nz = Array.length zq && !nh = Array.length hq);
+  let q = { z_queries = zq; h_queries = hq; reps } in
   Zobs.Counter.add c_queries_z (Array.length q.z_queries);
   Zobs.Counter.add c_queries_h (Array.length q.h_queries);
   q

@@ -171,11 +171,11 @@ let put_str b s =
 let put_nat b n =
   let len = nat_bytes n in
   put_u16 b len;
-  Buffer.add_bytes b (Nat.to_bytes_le n len)
+  Nat.add_bytes_le b n len
 
-(* Fixed-width element; the caller guarantees el < modulus (always true for
-   canonical Fp/group residues). *)
-let put_el b ~width (e : Fp.el) = Buffer.add_bytes b (Nat.to_bytes_le (Fp.to_nat e) width)
+(* Fixed-width element, encoded straight into the buffer; the caller
+   guarantees el < modulus (always true for canonical Fp/group residues). *)
+let put_el b ~width (e : Fp.el) = Nat.add_bytes_le b (Fp.to_nat e) width
 
 let put_vec b ~width (v : Fp.el array) =
   put_u32 b (Array.length v);
@@ -215,19 +215,23 @@ let get_u32 r what =
   let b = get_u16 r what in
   (a lsl 16) lor b
 
-let get_bytes r n what =
-  need r n what;
-  let b = Bytes.sub r.buf r.pos n in
-  r.pos <- r.pos + n;
-  b
-
 let get_str r what =
   let len = get_u16 r what in
-  Bytes.to_string (get_bytes r len what)
+  need r len what;
+  let s = Bytes.sub_string r.buf r.pos len in
+  r.pos <- r.pos + len;
+  s
+
+(* A little-endian natural decoded in place from the reader's buffer. *)
+let get_le r len what =
+  need r len what;
+  let n = Nat.of_bytes_sub r.buf r.pos len in
+  r.pos <- r.pos + len;
+  n
 
 let get_nat r what =
   let len = get_u16 r what in
-  Nat.of_bytes_le (get_bytes r len what)
+  get_le r len what
 
 (* A count about to drive an [Array.init]: bound it by the bytes actually
    left in the payload so a corrupted length can never force a huge
@@ -242,11 +246,11 @@ let get_count r ~min_size what =
    Group elements carry a bare modulus (no Fp.ctx at hand), checked with
    the same strictness. *)
 let get_el r ~width ~ctx what =
-  let n = Nat.of_bytes_le (get_bytes r width what) in
+  let n = get_le r width what in
   match Fp.of_nat_opt ctx n with Some e -> e | None -> fail (Out_of_range what)
 
 let get_gel r ~width ~modulus what =
-  let n = Nat.of_bytes_le (get_bytes r width what) in
+  let n = get_le r width what in
   if Nat.compare n modulus >= 0 then fail (Out_of_range what);
   (n : Fp.el)
 

@@ -18,6 +18,11 @@ dune build
 echo "== tests =="
 dune runtest
 
+echo "== stress (socket-backed suites, 5 runs) =="
+# The farm/serve tests race real sockets against the event loop; a flaky
+# one fails here long before it fails one run in twenty.
+sh scripts/stress.sh 5
+
 echo "== lint (examples and fixtures) =="
 # Every shipped example must be clean under both Zlint layers; every
 # deliberately-broken fixture must keep firing its diagnostic, and the

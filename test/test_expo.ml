@@ -54,6 +54,94 @@ let fixed_base_tests =
           (Group.fb_pow grp (Group.fb_g grp) wide));
   ]
 
+(* The packed fixed-base path must do the boxed path's work exactly:
+   start from one in Montgomery form and multiply once per nonzero
+   window digit, so mont.mul (part of the fieldlib.mults total) counts
+   stay identical. Checked on the bench's 512-bit group over p127_ntt. *)
+let packed_fb_tests =
+  [
+    Alcotest.test_case "packed fb_pow (512-bit) = pow, one mont.mul per nonzero digit" `Quick
+      (fun () ->
+        let field = Primes.p127_ntt in
+        let ctx = Fp.create field in
+        let grp = Group.cached ~field_order:field ~p_bits:512 () in
+        let q1 = Nat.sub grp.Group.q Nat.one in
+        let p = prg "packed fb" in
+        let mont_muls f =
+          Zobs.reset ();
+          Zobs.enable ();
+          Fun.protect ~finally:(fun () -> Zobs.disable (); Zobs.reset ()) (fun () ->
+              let r = f () in
+              (r, Zobs.Registry.counter_value "mont.mul"))
+        in
+        for window = 1 to 6 do
+          let tab = Group.fb_precompute ~window grp grp.Group.g in
+          List.iter
+            (fun e ->
+              let got, muls = mont_muls (fun () -> Group.fb_pow grp tab e) in
+              let what = Printf.sprintf "w=%d e=%s" window (Nat.to_hex e) in
+              check_pow what (Group.pow grp grp.Group.g e) got;
+              let digits = (Nat.num_bits e + window - 1) / window in
+              let nonzero = ref 0 in
+              for i = 0 to digits - 1 do
+                if Nat.bits e ~lo:(i * window) ~w:window <> 0 then incr nonzero
+              done;
+              Alcotest.(check int) (what ^ " mont.mul") !nonzero muls)
+            ([ Nat.zero; Nat.one; q1 ] @ List.init 4 (fun _ -> Fp.to_nat (Chacha.Prg.field ctx p)))
+        done);
+  ]
+
+let scratch_tests =
+  [
+    Alcotest.test_case "CIOS Montgomery product = Barrett product, 1 to 35 limbs" `Quick
+      (fun () ->
+        (* odd moduli of every shape the limb loops care about: one limb,
+           exact limb boundaries, all-ones top limbs, group sizes *)
+        let p = prg "cios widths" in
+        let odd n = if Nat.is_even n then Nat.add n Nat.one else n in
+        let random_nat bits =
+          Nat.shift_right (Nat.of_bytes_le (Chacha.Prg.bytes p ((bits + 7) / 8))) (((bits + 7) / 8 * 8) - bits)
+        in
+        let moduli =
+          [ Nat.of_int 2147483647; Nat.of_int 1_000_003; Primes.p61; Primes.p127; grp.Group.p;
+            Nat.sub (Nat.shift_left Nat.one 62) Nat.one; Nat.sub (Nat.shift_left Nat.one 93) Nat.one ]
+          @ List.map (fun bits -> odd (Nat.add (Nat.shift_left Nat.one (bits - 1)) (random_nat (bits - 1))))
+              [ 32; 100; 512; 1024; 1085 ]
+        in
+        List.iter
+          (fun m ->
+            let mctx = Montgomery.create m and bctx = Fp.create ~tag:Fp.Group m in
+            let below () = snd (Nat.divmod (random_nat (Nat.num_bits m + 8)) m) in
+            for _ = 1 to 20 do
+              let a = below () and b = below () in
+              let what = Printf.sprintf "%d-bit modulus" (Nat.num_bits m) in
+              let ma = Montgomery.to_mont mctx a and mb = Montgomery.to_mont mctx b in
+              Alcotest.(check bool) (what ^ " round trip") true (Nat.equal a (Montgomery.of_mont mctx ma));
+              Alcotest.(check bool) (what ^ " mul") true
+                (Nat.equal (Fp.to_nat (Fp.mul bctx a b)) (Montgomery.of_mont mctx (Montgomery.mul mctx ma mb)));
+              (* products stay canonical in Montgomery form, not merely < 2p *)
+              Alcotest.(check bool) (what ^ " canonical") true
+                (Montgomery.equal (Montgomery.mul mctx ma mb)
+                   (Montgomery.to_mont mctx (Fp.to_nat (Fp.mul bctx a b))));
+              Alcotest.(check bool) (what ^ " sqr") true
+                (Nat.equal (Fp.to_nat (Fp.sqr bctx a)) (Montgomery.of_mont mctx (Montgomery.sqr mctx ma)))
+            done;
+            let e = random_nat 200 and a = below () in
+            Alcotest.(check bool) "pow_nat = Barrett pow" true
+              (Nat.equal (Fp.to_nat (Fp.pow bctx a e)) (Montgomery.pow_nat mctx a e)))
+          moduli);
+    Alcotest.test_case "contexts with one modulus share one scratch" `Quick (fun () ->
+        (* a prover rebuilds the group context every session *)
+        let fresh () = Montgomery.create (Nat.add grp.Group.p Nat.zero) in
+        let sc = Montgomery.scratch_for (fresh ()) in
+        for _ = 1 to 10 do
+          Alcotest.(check bool) "same scratch" true (Montgomery.scratch_for (fresh ()) == sc)
+        done;
+        let other = Montgomery.create Primes.p127 in
+        Alcotest.(check bool) "other modulus, other scratch" false
+          (Montgomery.scratch_for other == sc));
+  ]
+
 let shamir_tests =
   [
     Alcotest.test_case "pow2 = pow * pow" `Quick (fun () ->
@@ -159,4 +247,4 @@ let parallel_tests =
           (Commitment.Commit.consistency_check vs ch ~commitment:com ans));
   ]
 
-let suite = fixed_base_tests @ shamir_tests @ multi_pow_tests @ hom_dot_tests @ parallel_tests
+let suite = fixed_base_tests @ packed_fb_tests @ scratch_tests @ shamir_tests @ multi_pow_tests @ hom_dot_tests @ parallel_tests

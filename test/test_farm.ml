@@ -129,6 +129,10 @@ let test_frame_reader () =
 (* End-to-end farm runs                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Runs [body addr] against a farm serving [max_conns] sessions and
+   returns its result only after the farm loop has finished every session
+   and exited: the server's own completion signal, after which Svcstats
+   is final. *)
 let with_farm ?(fconfig = { Zfarm.Farm.default with arg_config = config }) ~max_conns body =
   Znet.Svcstats.reset ();
   let cap = Test_serve.capture () in
@@ -155,7 +159,7 @@ let qap_constructions () =
    same-digest clients all verify. *)
 let test_farm_cache_and_concurrency () =
   Test_serve.with_tracing @@ fun () ->
-  with_farm ~max_conns:5 @@ fun addr ->
+  (with_farm ~max_conns:5 @@ fun addr ->
   let r1 = run_client ~seed:"farm-client-1" addr in
   Alcotest.(check bool) "first client verdicts" true (Argument.all_accepted r1);
   let built_cold = counter "farm.setup.built" in
@@ -177,7 +181,10 @@ let test_farm_cache_and_concurrency () =
         (Printf.sprintf "concurrent client %d verdicts" i)
         true
         (Argument.all_accepted (Domain.join d)))
-    domains;
+    domains);
+  (* A client returns once it has sent its verdicts, before the farm has
+     read them: the stats are final only once the farm loop itself has
+     finished all five sessions and returned (with_farm joins it). *)
   let shed, hits, misses, depth = Znet.Svcstats.farm_totals () in
   Alcotest.(check int) "nothing shed" 0 shed;
   Alcotest.(check int) "one cache miss (the cold build)" 1 misses;
@@ -257,7 +264,7 @@ let test_farm_overload_busy () =
   let fconfig =
     { Zfarm.Farm.default with arg_config = config; max_sessions = 2; accept_queue = 0 }
   in
-  with_farm ~fconfig ~max_conns:2 @@ fun addr ->
+  (with_farm ~fconfig ~max_conns:2 @@ fun addr ->
   let in_flight = Atomic.make 0 and release = Atomic.make false in
   let pause () =
     Atomic.incr in_flight;
@@ -289,7 +296,9 @@ let test_farm_overload_busy () =
         (Printf.sprintf "held client %d still verifies" i)
         true
         (Argument.all_accepted (Domain.join d)))
-    clients;
+    clients);
+  (* Read once the farm loop has finished both held sessions and returned:
+     the clients return before the farm has read their verdicts. *)
   let shed, _, _, _ = Znet.Svcstats.farm_totals () in
   Alcotest.(check int) "shed accounted distinctly" 1 shed;
   let _, _, completed, failed, decode_errors, _ = Znet.Svcstats.totals () in
