@@ -221,8 +221,7 @@ let run_bechamel cfg =
     let prg = Chacha.Prg.create ~seed:"bechamel" () in
     let sk, pk = Zcrypto.Elgamal.keygen grp prg in
     let a = Chacha.Prg.field_nonzero ctx prg and b = Chacha.Prg.field_nonzero ctx prg in
-    let ct = Zcrypto.Elgamal.encrypt pk prg a in
-    ignore sk;
+    let ct = Zcrypto.Elgamal.encrypt sk prg a in
     Test.make_grouped ~name:label ~fmt:"%s %s"
       [
         Test.make ~name:"f (field mul)" (Staged.stage (fun () -> ignore (Fp.mul ctx a b)));
@@ -1119,6 +1118,48 @@ let run_multiexp cfg =
           [ ("len", int len); ("naive_s", num t_naive); ("fixed_base_s", num t_fixed) ])
       fb_lengths
   in
+  (* -- g-table window sweep: the measurement that fixes Group.g_window.
+     The key owner's Enc is two powers of g on one table that is built
+     once per cached group, so the window trades table size and build
+     time against multiplications per power. The windows are timed in
+     interleaved rounds (host speed can drift within a run) and each
+     keeps its fastest round. -- *)
+  let q_bits = Nat.num_bits grp.Group.q and k = Nat.num_limbs grp.Group.p in
+  let sweep_exps = Array.init (if cfg.quick then 128 else 512) (fun _ -> Fp.to_nat (Chacha.Prg.field ctx prg)) in
+  let expect = Array.map (Group.fb_pow grp (Group.fb_g grp)) sweep_exps in
+  let tables =
+    List.map
+      (fun window ->
+        let tab, t_build = time_thunk (fun () -> Group.fb_precompute ~window grp grp.Group.g) in
+        check (Printf.sprintf "g table window %d" window)
+          (Array.for_all2 Group.equal expect (Array.map (Group.fb_pow grp tab) sweep_exps));
+        (window, tab, t_build, ref infinity))
+      Group.g_window_sweep
+  in
+  for _ = 1 to if cfg.quick then 3 else 7 do
+    List.iter
+      (fun (_, tab, _, best) ->
+        let (), t = time_thunk (fun () -> Array.iter (fun e -> ignore (Group.fb_pow grp tab e)) sweep_exps) in
+        best := min !best t)
+      tables
+  done;
+  Printf.printf "\ng-table window sweep (%d-bit group, %d-bit exponents; shipped window %d):\n"
+    cfg.p_bits q_bits Group.g_window;
+  Printf.printf "%-8s %10s %12s %10s %12s\n" "window" "table MB" "build" "muls/pow" "us/pow";
+  let sweep_rows =
+    List.map
+      (fun (window, _, t_build, best) ->
+        let digits = (q_bits + window - 1) / window in
+        let mb = float_of_int (digits * ((1 lsl window) - 1) * k * 8) /. 1e6 in
+        let us = 1e6 *. !best /. float_of_int (Array.length sweep_exps) in
+        Printf.printf "%-8d %10.2f %12s %10d %12.2f\n%!" window mb (fmt_s t_build) digits us;
+        Zobs.Json.Obj
+          [
+            ("window", int window); ("table_mb", num mb); ("build_s", num t_build);
+            ("muls_per_pow", int digits); ("us_per_pow", num us);
+          ])
+      tables
+  in
   (* -- Pippenger multi-exponentiation over random bases -- *)
   Printf.printf "\n%-10s %12s %14s %9s\n" "terms" "naive" "Pippenger" "speedup";
   let naive_multi bases exps =
@@ -1202,6 +1243,7 @@ let run_multiexp cfg =
       [
         ("p_bits", int cfg.p_bits);
         ("fixed_base", Zobs.Json.Arr fixed_rows);
+        ("g_window_sweep", Zobs.Json.Arr sweep_rows);
         ("pippenger", Zobs.Json.Arr pip_rows);
         ( "commit_phase",
           Zobs.Json.Obj
@@ -1900,7 +1942,7 @@ let run_alloc cfg =
   let ctx = ctx_of cfg in
   let prg = Chacha.Prg.create ~seed:"alloc bench" () in
   let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
-  let _sk, pk = Zcrypto.Elgamal.keygen grp prg in
+  let sk, _pk = Zcrypto.Elgamal.keygen grp prg in
   let a = Chacha.Prg.field_nonzero ctx prg and b = Chacha.Prg.field_nonzero ctx prg in
   let m = Chacha.Prg.field ctx prg in
   let fast = if cfg.quick then 20_000 else 200_000 in
@@ -1911,7 +1953,8 @@ let run_alloc cfg =
       ("fp.mul_lazy", fast, fun () -> ignore (Fp.mul_lazy ctx a b));
       ("fp.inv", fast / 10, fun () -> ignore (Fp.inv ctx a));
       ("prg.field", fast / 10, fun () -> ignore (Chacha.Prg.field ctx prg));
-      ("elgamal.encrypt", slow, fun () -> ignore (Zcrypto.Elgamal.encrypt pk prg m));
+      (* the key owner's Enc: what commit_request runs per element *)
+      ("elgamal.encrypt", slow, fun () -> ignore (Zcrypto.Elgamal.encrypt sk prg m));
       ( "ntt.butterfly",
         fast,
         (* the packed hot-path butterfly: must be allocation-free *)
@@ -1935,6 +1978,28 @@ let run_alloc cfg =
         (name, iters, words, us))
       kernels
   in
+  (* Query generation, per query element: the packed generator allocates
+     a custom block per query and the QAP's boxed evaluations, never a
+     boxed element per slot. pam, the suite's largest system. *)
+  let gen_row =
+    let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx (Apps.Registry.pam ~scale:cfg.scale)) in
+    let qap = Qapb.of_r1cs ~backend:cfg.qap_backend comp.Argsys.Argument.r1cs in
+    let gen () = Pcp.Pcp_zaatar.gen_queries ~params:(protocol cfg) qap prg in
+    let q = gen () in
+    let elements =
+      Array.fold_left (fun n v -> n + Fp.Vec.length v) 0
+        (Array.append q.Pcp.Pcp_zaatar.z_queries q.Pcp.Pcp_zaatar.h_queries)
+    in
+    let calls = if cfg.quick then 2 else 5 in
+    let w0 = Gc.minor_words () in
+    let (), t = time_thunk (fun () -> for _ = 1 to calls do ignore (gen ()) done) in
+    let n = calls * elements in
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    let us = 1e6 *. t /. float_of_int n in
+    Printf.printf "  %-18s %10d %14.1f %12.3f   (per query element)\n" "pcp.gen_queries" n words us;
+    ("pcp.gen_queries", n, words, us)
+  in
+  let rows = rows @ [ gen_row ] in
   alloc_rows := List.map (fun (name, _, words, _) -> (name, words)) rows;
   alloc_section :=
     Zobs.Json.Obj
@@ -2099,12 +2164,15 @@ let check_ledger () =
        the alloc experiment). The packed butterfly must stay allocation
        free; the boxed field mults allocate their result nat and nothing
        else, with headroom for GC accounting noise. *)
-    (* prg.field and elgamal.encrypt: the byte<->limb boundary (DESIGN.md
-       §17) — measured 5.76 and 347.8 words/op, ceilings ~10% above. *)
+    (* prg.field: the byte<->limb boundary (DESIGN.md §17) — 5.76
+       words/op, ceiling ~10% above. elgamal.encrypt, now the key owner's
+       two-power form, and pcp.gen_queries per query element: verifier
+       set-up (DESIGN.md §18) — 138.8 and 0.95 words/op, ceilings ~10%
+       above (the former ceiling for encrypt was 380). *)
     let alloc_bands =
       [
         ("fp.mul", 120.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0); ("prg.field", 6.3);
-        ("elgamal.encrypt", 380.0);
+        ("elgamal.encrypt", 153.0); ("pcp.gen_queries", 1.05);
       ]
     in
     List.iter

@@ -430,11 +430,11 @@ module Prover_session = struct
       let ctx = r.ctx in
       let num_z = r.comp.r1cs.R1cs.num_z and h_len = Qapb.h_len r.qap in
       if
-        Array.exists (fun qv -> Array.length qv <> num_z) q.Zwire.z_queries
+        Array.exists (fun qv -> Fp.Vec.length qv <> num_z) q.Zwire.z_queries
         || Array.length q.Zwire.t_z <> num_z
       then session_error "z-queries must have %d entries" num_z;
       if
-        Array.exists (fun qv -> Array.length qv <> h_len) q.Zwire.h_queries
+        Array.exists (fun qv -> Fp.Vec.length qv <> h_len) q.Zwire.h_queries
         || Array.length q.Zwire.t_h <> h_len
       then session_error "h-queries must have %d entries" h_len;
       let answers =

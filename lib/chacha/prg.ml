@@ -97,8 +97,9 @@ let c_field = Zobs.Counter.make "prg.field"
    each attempt takes exactly [num_bytes ctx] bytes, keeps the low
    [bits ctx] bits (Fp.sample's top-byte mask) and decodes them into the
    reused limb scratch; a candidate at or above the modulus is dropped
-   without allocating, and the accepted one is the only allocation. *)
-let field ctx t =
+   without allocating. The accepted one is left in the scratch: [field]
+   boxes it (its only allocation), [field_into] copies it into a slot. *)
+let draw ctx t =
   Zobs.Counter.incr c_field;
   let p = Fieldlib.Fp.modulus ctx and bits = Fieldlib.Fp.bits ctx in
   let nb = Fieldlib.Fp.num_bytes ctx and width = Fieldlib.Nat.num_limbs p in
@@ -116,8 +117,28 @@ let field ctx t =
       Fieldlib.Nat.load_bits_le ~width t.limbs t.draw 0 ~bits
     end;
     accepted := Fieldlib.Nat.compare_limbs ~width t.limbs p < 0
-  done;
+  done
+
+let field ctx t =
+  draw ctx t;
   Fieldlib.Fp.of_nat ctx (Fieldlib.Nat.of_limbs t.limbs)
+
+(* The same draw, landing in slot [i] of a packed vector (whose limb
+   width is the modulus's): no allocation at all. *)
+let field_into ctx t (v : Fieldlib.Fp.Vec.t) i =
+  draw ctx t;
+  if v.Fieldlib.Fp.Vec.k <> Array.length t.limbs then invalid_arg "Prg.field_into: limb width";
+  let o = i * v.Fieldlib.Fp.Vec.k in
+  for j = 0 to v.Fieldlib.Fp.Vec.k - 1 do
+    Fieldlib.Limb.set v.Fieldlib.Fp.Vec.buf (o + j) t.limbs.(j)
+  done
+
+let field_vec ctx t n =
+  let v = Fieldlib.Fp.Vec.create ctx n in
+  for i = 0 to n - 1 do
+    field_into ctx t v i
+  done;
+  v
 
 let rec field_nonzero ctx t =
   let x = field ctx t in

@@ -31,5 +31,12 @@ val bool : t -> bool
 val field : Fieldlib.Fp.ctx -> t -> Fieldlib.Fp.el
 (** Uniform field element by rejection sampling; the paper's cost [c]. *)
 
+val field_into : Fieldlib.Fp.ctx -> t -> Fieldlib.Fp.Vec.t -> int -> unit
+(** [field_into ctx t v i]: the {!field} draw (same bytes, same count),
+    written straight into slot [i] of [v]; allocation-free. *)
+
+val field_vec : Fieldlib.Fp.ctx -> t -> int -> Fieldlib.Fp.Vec.t
+(** [n] {!field_into} draws into a fresh packed vector. *)
+
 val field_nonzero : Fieldlib.Fp.ctx -> t -> Fieldlib.Fp.el
 val field_array : Fieldlib.Fp.ctx -> t -> int -> Fieldlib.Fp.el array

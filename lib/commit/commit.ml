@@ -31,29 +31,38 @@ type request = {
 
 type verifier_secret = {
   sk : Elgamal.secret_key;
-  r : Fp.el array; (* never leaves the verifier *)
+  r : Fp.Vec.t; (* never leaves the verifier *)
 }
 
 let c_enc_r = Zobs.Counter.make "commit.enc_r"
 let c_decommit_queries = Zobs.Counter.make "commit.decommit_queries"
 let c_checks = Zobs.Counter.make "commit.consistency_checks"
 
-(* One per batch. [len] is the proof-vector length. Enc(r) is
-   embarrassingly parallel once the per-element ElGamal randomness k_i is
-   pre-drawn sequentially: the transcript (and hence the protocol run) is
-   bit-identical for every [domains] count. *)
+(* One per batch. [len] is the proof-vector length. The verifier owns the
+   key, so Enc(r) is the key-owner form (two fixed-base powers of g per
+   element, lib/crypto/elgamal.ml). r and the per-element randomness k_i
+   are drawn sequentially straight into packed slots; only the powers fan
+   out over [domains], so the transcript is bit-identical for every
+   domain count. *)
 let commit_request ?(domains = 1) ctx grp prg ~len =
   Zobs.Span.with_ ~name:"commit.request"
     ~attrs:[ ("len", string_of_int len); ("domains", string_of_int domains) ]
   @@ fun () ->
+  if not (Nat.equal (Fp.modulus ctx) grp.Group.q) then
+    invalid_arg "Commit.commit_request: the field must be Z_q of the group";
   Zobs.Counter.add c_enc_r len;
   let sk, pk = Elgamal.keygen grp prg in
-  let r = Array.init len (fun _ -> Chacha.Prg.field ctx prg) in
-  let ks = Array.init len (fun _ -> Fp.to_nat (Chacha.Prg.field_nonzero grp.Group.modq prg)) in
-  (* Force the fixed-base tables before fanning out: lazy forcing is not
-     thread-safe across domains. *)
-  Elgamal.precompute pk;
-  let enc_r = Dompool.Pool.mapi ~domains (fun i ri -> Elgamal.encrypt_with_k pk ~k:ks.(i) ri) r in
+  let r = Chacha.Prg.field_vec ctx prg len in
+  let modq = grp.Group.modq in
+  let ks = Fp.Vec.create modq len in
+  for i = 0 to len - 1 do
+    (* Prg.field_nonzero, in place *)
+    Chacha.Prg.field_into modq prg ks i;
+    while Fp.Vec.is_zero ks i do
+      Chacha.Prg.field_into modq prg ks i
+    done
+  done;
+  let enc_r = Elgamal.encrypt_vec ~domains sk ~ks r in
   ({ pk; enc_r }, { sk; r })
 
 (* Prover side, one per instance: commit to the linear function <., u>. *)
@@ -67,20 +76,21 @@ type challenge = {
   alpha : Fp.el array; (* secret *)
 }
 
-let decommit_challenge ctx (vs : verifier_secret) prg (queries : Fp.el array array) : challenge =
+(* t = r + sum_i alpha_i q_i, accumulated in place over the packed
+   queries: one counted fp.mul per term, as the boxed form had. *)
+let decommit_challenge ctx (vs : verifier_secret) prg (queries : Fp.Vec.t array) : challenge =
   Zobs.Span.with_ ~name:"commit.decommit_challenge" @@ fun () ->
   Zobs.Counter.add c_decommit_queries (Array.length queries);
-  let len = Array.length vs.r in
-  let alpha = Array.init (Array.length queries) (fun _ -> Chacha.Prg.field ctx prg) in
-  let t = Array.copy vs.r in
+  let len = Fp.Vec.length vs.r in
+  let alpha = Chacha.Prg.field_vec ctx prg (Array.length queries) in
+  let sc = Fp.scratch_for ctx in
+  let t = Fp.Vec.copy vs.r in
   Array.iteri
     (fun i q ->
-      if Array.length q <> len then invalid_arg "Commit.decommit_challenge: query length mismatch";
-      for j = 0 to len - 1 do
-        t.(j) <- Fp.add ctx t.(j) (Fp.mul ctx alpha.(i) q.(j))
-      done)
+      if Fp.Vec.length q <> len then invalid_arg "Commit.decommit_challenge: query length mismatch";
+      Fp.Vec.axpy ctx sc t alpha i q)
     queries;
-  { t; alpha }
+  { t = Fp.Vec.to_array t; alpha = Fp.Vec.to_array alpha }
 
 (* Prover side, per instance: answer the queries and the test vector. *)
 type answers = {
@@ -88,8 +98,9 @@ type answers = {
   a_t : Fp.el; (* pi(t) *)
 }
 
-let prover_answer ctx (u : Fp.el array) (queries : Fp.el array array) (ch_t : Fp.el array) : answers =
-  { a = Array.map (fun q -> Fp.dot ctx q u) queries; a_t = Fp.dot ctx ch_t u }
+let prover_answer ctx (u : Fp.el array) (queries : Fp.Vec.t array) (ch_t : Fp.el array) : answers =
+  let uv = Fp.Vec.of_array ctx u and sc = Fp.scratch_for ctx in
+  { a = Array.map (fun q -> Fp.Vec.dot ctx sc q uv) queries; a_t = Fp.dot ctx ch_t u }
 
 (* Verifier side, per instance: the consistency check
 

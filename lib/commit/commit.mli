@@ -23,13 +23,15 @@ type request = {
   enc_r : Elgamal.ciphertext array; (** sent to the prover *)
 }
 
-type verifier_secret = { sk : Elgamal.secret_key; r : Fp.el array }
+type verifier_secret = { sk : Elgamal.secret_key; r : Fp.Vec.t  (** packed; never sent *) }
 
 val commit_request :
   ?domains:int -> Fp.ctx -> Group.t -> Chacha.Prg.t -> len:int -> request * verifier_secret
-(** One per batch; [len] is the proof-vector length. Enc(r) is computed in
-    parallel over [domains]; the per-element randomness is pre-drawn
-    sequentially, so the transcript is identical for every domain count. *)
+(** One per batch; [len] is the proof-vector length, and the field must be
+    the group's Z_q. Enc(r) is the key owner's (two fixed-base powers of
+    g per element), its powers spread over [domains]; r and the
+    per-element randomness are drawn sequentially into packed slots, so
+    the transcript is identical for every domain count. *)
 
 val prover_commit : request -> Fp.el array -> Elgamal.ciphertext
 (** Prover, per instance: Enc(<u, r>) by homomorphic evaluation. *)
@@ -39,16 +41,18 @@ type challenge = {
   alpha : Fp.el array; (** secret *)
 }
 
-val decommit_challenge : Fp.ctx -> verifier_secret -> Chacha.Prg.t -> Fp.el array array -> challenge
-(** One per batch, over the full query list. *)
+val decommit_challenge : Fp.ctx -> verifier_secret -> Chacha.Prg.t -> Fp.Vec.t array -> challenge
+(** One per batch, over the full (packed) query list: t = r + sum_i
+    alpha_i q_i with one counted [fp.mul] per term. *)
 
 type answers = {
   a : Fp.el array; (** pi(q_i), in query order *)
   a_t : Fp.el; (** pi(t) *)
 }
 
-val prover_answer : Fp.ctx -> Fp.el array -> Fp.el array array -> Fp.el array -> answers
-(** [prover_answer ctx u queries t]. *)
+val prover_answer : Fp.ctx -> Fp.el array -> Fp.Vec.t array -> Fp.el array -> answers
+(** [prover_answer ctx u queries t]: packed dots for the queries, the
+    boxed {!Fp.dot} for [t]. *)
 
 val consistency_check : verifier_secret -> challenge -> commitment:Elgamal.ciphertext -> answers -> bool
 (** Verifier, per instance. *)

@@ -47,6 +47,8 @@ let as_const (t : t) = if is_const t then Some (const_part t) else None
 let terms (t : t) = IMap.bindings t
 (* Sorted by variable index; includes the index-0 constant if present. *)
 
+let iter f (t : t) = IMap.iter f t
+
 let num_terms (t : t) = IMap.cardinal t
 
 let eval ctx (t : t) (w : Fp.el array) =

@@ -51,8 +51,8 @@ let measure ?(iters = 1000) ctx (grp : Group.t) : t =
   let f_div = time_per (max 100 (iters / 10)) (fun () -> sink := Fp.div ctx (pick ()) (pick ())) in
   let c = time_per iters (fun () -> sink := Chacha.Prg.field ctx prg) in
   let crypto_iters = max 20 (iters / 50) in
-  let e = time_per crypto_iters (fun () -> ignore (Elgamal.encrypt pk prg (pick ()))) in
-  let ct = Elgamal.encrypt pk prg (pick ()) in
+  let e = time_per crypto_iters (fun () -> ignore (Elgamal.encrypt sk prg (pick ()))) in
+  let ct = Elgamal.encrypt sk prg (pick ()) in
   let d = time_per crypto_iters (fun () -> ignore (Elgamal.decrypt_to_group sk ct)) in
   let h =
     time_per crypto_iters (fun () -> ignore (Elgamal.hom_add pk ct (Elgamal.hom_scale pk ct (pick ()))))

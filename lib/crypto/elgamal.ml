@@ -13,19 +13,20 @@
    Enc(a)^c = Enc(c*a); the prover evaluates Enc(<u, r>) from Enc(r)
    without ever seeing r.
 
-   Both fixed bases (g from the group, y from the key) carry fixed-base
-   window tables, so encryption and encoding are table lookups plus
-   multiplications rather than generic ladders; [hom_dot] is a Pippenger
-   multi-exponentiation (DESIGN.md §8). *)
+   Only the key owner ever encrypts (the verifier's Enc(r)), and it knows
+   x with y = g^x. Since g has order q,
+
+     g^m * y^k = g^(m + x k mod q)
+
+   so encryption is two fixed-base powers of g — c1 = g^k and
+   c2 = g^(m + x k) — against one wide g table cached on the group: no
+   per-key y table, and the ciphertext bytes are those of the public-key
+   form (DESIGN.md §18). [hom_dot] is a Pippenger multi-exponentiation
+   (DESIGN.md §8). *)
 
 open Fieldlib
 
-type public_key = {
-  grp : Group.t;
-  y : Group.element;
-  y_fb : Group.fb Lazy.t; (* fixed-base table for y; force via [precompute] before parallel use *)
-}
-
+type public_key = { grp : Group.t; y : Group.element }
 type secret_key = { pk : public_key; x : Nat.t }
 type ciphertext = { c1 : Group.element; c2 : Group.element }
 
@@ -36,35 +37,51 @@ let c_hom = Zobs.Counter.make "elgamal.hom_op"
 let keygen (grp : Group.t) (prg : Chacha.Prg.t) =
   let x = Fp.to_nat (Chacha.Prg.field_nonzero grp.Group.modq prg) in
   let y = Group.fb_pow grp (Group.fb_g grp) x in
-  let pk = { grp; y; y_fb = lazy (Group.fb_precompute grp y) } in
+  let pk = { grp; y } in
   ({ pk; x }, pk)
 
-(* Codec hook (lib/wire): rebuild a public key from a transmitted y. The
-   table for y stays lazy — the prover's hom_dot path is all multi_pow and
-   never forces it. *)
+(* Codec hook (lib/wire): rebuild a public key from a transmitted y. *)
 let public_key_of (grp : Group.t) ~(y : Group.element) =
   if Nat.is_zero y || Nat.compare y grp.Group.p >= 0 then
     invalid_arg "Elgamal.public_key_of: y out of range";
-  { grp; y; y_fb = lazy (Group.fb_precompute grp y) }
+  { grp; y }
 
-let precompute (pk : public_key) =
-  ignore (Group.fb_g pk.grp);
-  ignore (Lazy.force pk.y_fb)
+(* Key-owner encryption of every slot of [m] with the matching slot of
+   [ks] as its randomness k in [1, q). The exponents m_i + x k_i are
+   formed in place in one packed pass in the group's Z_q context [expq],
+   whose multiplications count under fp.mul.group: they are part of the
+   e op, not Figure-3 field multiplications. The powers then fan out over
+   [domains], reading exponents straight from their slots. *)
+let encrypt_vec ?(domains = 1) (sk : secret_key) ~(ks : Fp.Vec.t) (m : Fp.Vec.t) : ciphertext array =
+  let n = Fp.Vec.length m in
+  let grp = sk.pk.grp in
+  let q = grp.Group.expq in
+  let sc = Fp.scratch_for q in
+  let xv = Fp.Vec.of_array q [| sk.x |] in
+  let es = Fp.Vec.create q n in
+  if Fp.Vec.length ks <> n || ks.Fp.Vec.k <> es.Fp.Vec.k || m.Fp.Vec.k <> es.Fp.Vec.k then
+    invalid_arg "Elgamal.encrypt_vec: operands are not Z_q vectors of one length";
+  for i = 0 to n - 1 do
+    Fp.Vec.mul q sc es i xv 0 ks i;
+    Fp.Vec.add q sc es i es i m i
+  done;
+  Zobs.Counter.add c_encrypt n;
+  (* force the g table before fanning out: lazy forcing is not
+     thread-safe across domains *)
+  let gtab = Group.fb_g grp in
+  Dompool.Pool.mapi ~domains
+    (fun i () -> { c1 = Group.fb_pow_slot grp gtab ks i; c2 = Group.fb_pow_slot grp gtab es i })
+    (Array.make n ())
 
-(* Encrypt with caller-supplied randomness k in [1, q): the deterministic
-   core that the parallel commitment pipeline maps over after pre-drawing
-   every k sequentially (transcripts must not depend on the domain count). *)
-let encrypt_with_k (pk : public_key) ~(k : Nat.t) (m : Fp.el) : ciphertext =
-  Zobs.Counter.incr c_encrypt;
-  let grp = pk.grp in
-  let gtab = Group.fb_g grp and ytab = Lazy.force pk.y_fb in
-  let gm = Group.fb_pow grp gtab (Fp.to_nat m) in
-  { c1 = Group.fb_pow grp gtab k; c2 = Group.mul grp gm (Group.fb_pow grp ytab k) }
+(* One element through the same kernel. *)
+let encrypt_with_k (sk : secret_key) ~(k : Nat.t) (m : Fp.el) : ciphertext =
+  let q = sk.pk.grp.Group.expq in
+  (encrypt_vec sk ~ks:(Fp.Vec.of_array q [| k |]) (Fp.Vec.of_array q [| m |])).(0)
 
 (* Encrypt a field element (exponent encoding). *)
-let encrypt (pk : public_key) (prg : Chacha.Prg.t) (m : Fp.el) : ciphertext =
-  let k = Fp.to_nat (Chacha.Prg.field_nonzero pk.grp.Group.modq prg) in
-  encrypt_with_k pk ~k m
+let encrypt (sk : secret_key) (prg : Chacha.Prg.t) (m : Fp.el) : ciphertext =
+  let k = Fp.to_nat (Chacha.Prg.field_nonzero sk.pk.grp.Group.modq prg) in
+  encrypt_with_k sk ~k m
 
 (* Decrypt to the group encoding g^m of the plaintext. *)
 let decrypt_to_group (sk : secret_key) (c : ciphertext) : Group.element =
@@ -72,7 +89,7 @@ let decrypt_to_group (sk : secret_key) (c : ciphertext) : Group.element =
   let grp = sk.pk.grp in
   Group.mul grp c.c2 (Group.inv grp (Group.pow grp c.c1 sk.x))
 
-(* g^m for a known m: what the verifier compares decryptions against. *)
+(* g^m for a known m: what decryptions are compared against. *)
 let encode (pk : public_key) (m : Fp.el) : Group.element =
   Group.fb_pow pk.grp (Group.fb_g pk.grp) (Fp.to_nat m)
 

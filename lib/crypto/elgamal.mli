@@ -9,17 +9,15 @@
     clear. [hom_add]/[hom_scale] give Enc(a+b) and Enc(c*a); {!hom_dot}
     evaluates Enc(<u, r>) from Enc(r) without the prover learning r.
 
-    Encryption and encoding run on fixed-base window tables for g and y;
-    {!hom_dot} is a Pippenger multi-exponentiation (DESIGN.md §8). *)
+    Encryption is the key owner's: with y = g^x and g of order q,
+    g^m y^k = g^(m + x k mod q), so Enc is two fixed-base powers of g on
+    the group's cached table — byte for byte the public-key ciphertext
+    (DESIGN.md §18). {!hom_dot} is a Pippenger multi-exponentiation
+    (DESIGN.md §8). *)
 
 open Fieldlib
 
-type public_key = {
-  grp : Group.t;
-  y : Group.element;
-  y_fb : Group.fb Lazy.t;  (** fixed-base table for [y]; see {!precompute} *)
-}
-
+type public_key = { grp : Group.t; y : Group.element }
 type secret_key = { pk : public_key; x : Nat.t }
 type ciphertext = { c1 : Group.element; c2 : Group.element }
 
@@ -27,19 +25,21 @@ val keygen : Group.t -> Chacha.Prg.t -> secret_key * public_key
 
 val public_key_of : Group.t -> y:Group.element -> public_key
 (** Rebuild a public key from a wire-transmitted [y] (Zwire
-    [Commit_request]); raises [Invalid_argument] unless [0 < y < p]. The
-    fixed-base table for [y] is built lazily on first use. *)
+    [Commit_request]); raises [Invalid_argument] unless [0 < y < p]. *)
 
-val precompute : public_key -> unit
-(** Force both fixed-base tables. Must be called before sharing the key
-    across domains (lazy forcing is not thread-safe). *)
+val encrypt_vec : ?domains:int -> secret_key -> ks:Fp.Vec.t -> Fp.Vec.t -> ciphertext array
+(** [encrypt_vec sk ~ks m]: key-owner Enc of slot [i] of [m] (a residue
+    mod q) under randomness slot [i] of [ks] (in [1, q)):
+    c1 = g^k, c2 = g^(m + x k). Per element two [group.pow.fixed_base]
+    and one [fp.mul.group] (the exponent, formed in [Group.expq] in one
+    packed pass); the powers spread over [domains], and the result does
+    not depend on the domain count. *)
 
-val encrypt : public_key -> Chacha.Prg.t -> Fp.el -> ciphertext
+val encrypt_with_k : secret_key -> k:Nat.t -> Fp.el -> ciphertext
+(** One element through {!encrypt_vec}. *)
 
-val encrypt_with_k : public_key -> k:Nat.t -> Fp.el -> ciphertext
-(** Deterministic encryption with caller-supplied randomness [k] in
-    [1, q): the core the parallel commitment pipeline maps over after
-    pre-drawing every [k] sequentially. *)
+val encrypt : secret_key -> Chacha.Prg.t -> Fp.el -> ciphertext
+(** {!encrypt_with_k} with fresh randomness k drawn from the PRG. *)
 
 val decrypt_to_group : secret_key -> ciphertext -> Group.element
 

@@ -18,6 +18,7 @@ type t = {
   g : Fp.el; (* generator of the order-q subgroup, as a mod-p residue *)
   modp : Fp.ctx; (* arithmetic mod p *)
   modq : Fp.ctx; (* arithmetic mod q (exponents); cached, not rebuilt per call *)
+  expq : Fp.ctx; (* the key owner's exponent arithmetic mod q, counted as group work *)
   mont : Montgomery.ctx; (* exponentiation kernels (see the ablation bench) *)
   g_fb : fb Lazy.t; (* fixed-base window table for g, built on first use *)
 }
@@ -55,6 +56,17 @@ let fb_precompute ?window t (base : element) : fb =
 
 let fb_g t = Lazy.force t.g_fb
 
+(* Window of the g table on a generated (key-owner) group: built once per
+   cached group and then serving every Enc(r) of every batch, so it is
+   wider than the default 5. Fixed by the g-table window sweep of the
+   multiexp bench (EXPERIMENTS.md) as the narrowest window within 10% of
+   the sweep's fastest power. At 512 bits: 15 multiplications per power
+   for a 1.0 MB table built in 10-17 ms; window 8 is 16 and 0.55 MB but
+   ~15% slower per power, window 10 is 13 and 1.8 MB for 2-8% less. *)
+let g_window = 9
+
+let g_window_sweep = [ 4; 5; 6; 7; 8; 9; 10 ]
+
 let fb_pow t (tab : fb) (e : Nat.t) : element =
   (* Exponents live in Z_q and the tables cover num_bits q, so the generic
      fallback only triggers for out-of-range callers (reduce mod q first). *)
@@ -63,6 +75,11 @@ let fb_pow t (tab : fb) (e : Nat.t) : element =
     Zobs.Counter.incr c_pow_fb;
     Montgomery.fb_pow t.mont tab e
   end
+
+(* [fb_pow] with the exponent in slot [i] of a packed vector. *)
+let fb_pow_slot t (tab : fb) (v : Fp.Vec.t) i : element =
+  Zobs.Counter.incr c_pow_fb;
+  Montgomery.fb_pow_slice t.mont tab v.Fp.Vec.buf (i * v.Fp.Vec.k) v.Fp.Vec.k
 
 let pow2 t (b1 : element) (e1 : Nat.t) (b2 : element) (e2 : Nat.t) : element =
   Zobs.Counter.incr c_pow_shamir;
@@ -77,6 +94,8 @@ let multi_pow ?window t (bases : element array) (exps : Nat.t array) : element =
   Montgomery.of_mont m (Montgomery.multi_pow m ?window mb exps)
 
 let generate ?(seed = "zaatar group") ~field_order ~p_bits () =
+  Zobs.Span.with_ ~name:"crypto.group_generate" ~attrs:[ ("p_bits", string_of_int p_bits) ]
+  @@ fun () ->
   let q = field_order in
   let q_bits = Nat.num_bits q in
   if p_bits < q_bits + 16 then invalid_arg "Group.generate: p_bits too small for field order";
@@ -116,8 +135,10 @@ let generate ?(seed = "zaatar group") ~field_order ~p_bits () =
     if Fp.equal g Fp.one then find_g (h + 1) else g
   in
   let g = find_g 2 in
-  let g_fb = lazy (Montgomery.fb_precompute mont ~bits:q_bits (Montgomery.to_mont mont g)) in
-  { p; q; g; modp; modq = Fp.create q; mont; g_fb }
+  let g_fb =
+    lazy (Montgomery.fb_precompute mont ~window:g_window ~bits:q_bits (Montgomery.to_mont mont g))
+  in
+  { p; q; g; modp; modq = Fp.create q; expq = Fp.create ~tag:Fp.Group q; mont; g_fb }
 
 (* Codec hook (lib/wire): rebuild a group from transmitted (p, q, g). The
    prover must not trust the wire, so every structural property [generate]
@@ -138,10 +159,13 @@ let of_params ~p ~q ~g =
   if not (Fp.equal (Fp.pow modp g q) Fp.one) then
     invalid_arg "Group.of_params: g is not in the order-q subgroup";
   let mont = Montgomery.create p in
+  (* The prover rebuilds this group for every session and never owns a
+     key: its g table, if anything ever forces it, keeps the default
+     window rather than [g_window]. *)
   let g_fb =
     lazy (Montgomery.fb_precompute mont ~bits:(Nat.num_bits q) (Montgomery.to_mont mont g))
   in
-  { p; q; g; modp; modq = Fp.create q; mont; g_fb }
+  { p; q; g; modp; modq = Fp.create q; expq = Fp.create ~tag:Fp.Group q; mont; g_fb }
 
 (* Cache of generated groups, keyed by (field bits, p bits): generation
    costs seconds at 1024 bits. *)

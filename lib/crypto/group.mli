@@ -27,6 +27,10 @@ type t = {
   g : Fp.el;  (** generator of the order-q subgroup, as a mod-p residue *)
   modp : Fp.ctx;
   modq : Fp.ctx;  (** Z_q arithmetic, cached here so per-call contexts are never rebuilt *)
+  expq : Fp.ctx;
+      (** Z_q again, tagged [Group]: the key owner's Enc exponent
+          arithmetic, which is part of the e op and so counts under
+          [fp.mul.group], never the field ledger *)
   mont : Montgomery.ctx;  (** exponentiation kernels *)
   g_fb : fb Lazy.t;  (** fixed-base table for [g]; force via {!fb_g} before parallel use *)
 }
@@ -51,13 +55,27 @@ val fb_precompute : ?window:int -> t -> element -> fb
     [1, 16], default 5. *)
 
 val fb_g : t -> fb
-(** The (lazily built, cached) table for the generator [g]. *)
+(** The (lazily built, cached) table for the generator [g]: window
+    {!g_window} on a {!generate}d group, the default 5 on an
+    {!of_params} one. *)
+
+val g_window : int
+(** The g-table window of a generated (key-owner) group; a constant
+    fixed by the fb-window sweep of the multiexp bench. *)
+
+val g_window_sweep : int list
+(** The windows that sweep measures (and the tests check Enc at);
+    {!g_window} is one of them. *)
 
 val fb_pow : t -> fb -> Nat.t -> element
 (** Table-driven exponentiation: one multiplication per nonzero window
     digit into a scratch register; the returned residue is the only
     allocation. Falls back to the generic ladder for exponents wider than
     the table (never the case for exponents in Z_q). *)
+
+val fb_pow_slot : t -> fb -> Fp.Vec.t -> int -> element
+(** {!fb_pow} with the exponent read in place from slot [i] of a packed
+    vector (no exponent is boxed). *)
 
 val pow2 : t -> element -> Nat.t -> element -> Nat.t -> element
 (** [pow2 t b1 e1 b2 e2 = b1^e1 * b2^e2], Shamir/Straus simultaneous
@@ -71,7 +89,7 @@ val multi_pow : ?window:int -> t -> element array -> Nat.t array -> element
 val generate : ?seed:string -> field_order:Nat.t -> p_bits:int -> unit -> t
 (** Deterministic given [seed]; candidates are screened with
     {!Primes.probably_prime} and the final p confirmed with
-    {!Primes.is_prime}. *)
+    {!Primes.is_prime}. Runs under the span [crypto.group_generate]. *)
 
 val cached : field_order:Nat.t -> p_bits:int -> unit -> t
 (** Memoized {!generate}: parameter search costs seconds at 1024 bits. *)

@@ -15,6 +15,7 @@ type ctx = {
   sample_bytes : int;
   sample_mask : int; (* mask for the top sampled byte *)
   dot_window : int; (* lazy products that can be accumulated before reduction *)
+  n0 : int; (* -p^{-1} mod 2^31: Montgomery scalar products (Vec.axpy) *)
   cnt_mul : Zobs.Counter.t;
   cnt_mul_lazy : Zobs.Counter.t;
   cnt_inv : Zobs.Counter.t;
@@ -53,6 +54,7 @@ let create ?(tag = Field) p =
     sample_bytes = (p_bits + 7) / 8;
     sample_mask = (1 lsl (((p_bits - 1) mod 8) + 1)) - 1;
     dot_window;
+    n0 = Limb.neg_inv (Nat.limb p 0);
     cnt_mul;
     cnt_mul_lazy;
     cnt_inv;
@@ -177,26 +179,6 @@ let inv ctx a =
 
 let div ctx a b = mul ctx a (inv ctx b)
 
-let batch_inv ctx xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let prefix = Array.make n Nat.one in
-    let acc = ref Nat.one in
-    for i = 0 to n - 1 do
-      prefix.(i) <- !acc;
-      if Nat.is_zero xs.(i) then raise Division_by_zero;
-      acc := mul ctx !acc xs.(i)
-    done;
-    let inv_all = ref (inv ctx !acc) in
-    let out = Array.make n Nat.zero in
-    for i = n - 1 downto 0 do
-      out.(i) <- mul ctx !inv_all prefix.(i);
-      inv_all := mul ctx !inv_all xs.(i)
-    done;
-    out
-  end
-
 let dot ctx a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Fp.dot: length mismatch";
@@ -243,8 +225,9 @@ let pp fmt x = Format.pp_print_string fmt (to_string x)
      [2k+2, 3k+3)     r2 = (q3 * p) mod B^(k+1)
      [3k+3, 4k+4)     r  = r1 - r2, then the conditional subtractions
      [4k+4, 6k+4)     product a*b awaiting reduction
-     [6k+4, 7k+4)     butterfly slot t
-     [7k+4, 8k+4)     butterfly slot u
+     [6k+4, 7k+4)     butterfly slot t; axpy's Montgomery scalar
+     [7k+4, 8k+4)     butterfly slot u; axpy's product
+   ([6k+4, 8k+4) is also dot's 2k-limb accumulator.)
    A scratch is owned by exactly one domain (see [scratch_for]); nothing
    here is safe to share across domains. *)
 type scratch = {
@@ -252,6 +235,7 @@ type scratch = {
   p_l : Limb.a; (* k+1 limbs, p zero-padded *)
   mu_l : Limb.a; (* k+1 limbs *)
   tmp : Limb.a; (* 8k+8 limbs *)
+  redc_t : Limb.a; (* k+2 limbs: the Montgomery accumulator of Vec.axpy *)
 }
 
 let scratch_create ctx =
@@ -260,7 +244,7 @@ let scratch_create ctx =
   Limb.of_nat ctx.p p_l 0 (k + 1);
   let mu_l = Limb.create (k + 1) in
   Limb.of_nat ctx.mu mu_l 0 (k + 1);
-  { sk = k; p_l; mu_l; tmp = Limb.create ((8 * k) + 8) }
+  { sk = k; p_l; mu_l; tmp = Limb.create ((8 * k) + 8); redc_t = Limb.create (k + 2) }
 
 (* One scratch per (domain, context): domain-local storage keyed by context
    physical identity, so arena-backed code is safe under Dompool without
@@ -368,4 +352,95 @@ module Vec = struct
     for i = 0 to v.n - 1 do
       mul ctx sc v i v i c ci
     done
+
+  (* dst.(j) <- dst.(j) + a.(ai) * x.(j) for every slot j: the decommit
+     vector's inner loop, one counted field mul per slot. The scalar is
+     taken into Montgomery form once (c R mod p, R = 2^(31k)), so each
+     slot's product c x_j mod p is a single CIOS REDC — canonical, fully
+     reduced, and about 40% fewer limb products than a Barrett step. *)
+  let axpy ctx sc (dst : t) (a : t) ai (x : t) =
+    if dst.n <> x.n then invalid_arg "Fp.Vec.axpy: length mismatch";
+    Zobs.Counter.add ctx.cnt_mul x.n;
+    let k = sc.sk and tmp = sc.tmp in
+    let off_c = (6 * k) + 4 and off_t = (7 * k) + 4 in
+    Limb.of_nat (reduce ctx (Nat.shift_left (get a ai) (31 * k))) tmp off_c k;
+    for j = 0 to x.n - 1 do
+      Limb.redc ~k ~n0:ctx.n0 sc.p_l sc.redc_t tmp off_t tmp off_c x.buf (j * k);
+      add_slice sc dst.buf (j * k) dst.buf (j * k) tmp off_t
+    done
+
+  let sum ctx sc (a : t) (b : t) =
+    if a.n <> b.n then invalid_arg "Fp.Vec.sum: length mismatch";
+    let c = create ctx a.n in
+    for i = 0 to a.n - 1 do
+      add ctx sc c i a i b i
+    done;
+    c
+
+  (* Montgomery's trick in place: 3n fp.mul and one fp.inv. *)
+  let inv_all ctx sc (v : t) =
+    if v.n > 0 then begin
+      let prefix = create ctx v.n and acc = of_array ctx [| one |] in
+      for i = 0 to v.n - 1 do
+        if is_zero v i then raise Division_by_zero;
+        blit acc 0 prefix i 1;
+        mul ctx sc acc 0 acc 0 v i
+      done;
+      set acc 0 (inv ctx (get acc 0));
+      for i = v.n - 1 downto 0 do
+        mul ctx sc prefix i acc 0 prefix i;
+        mul ctx sc acc 0 acc 0 v i;
+        blit prefix i v i 1
+      done
+    end
+
+  let copy (v : t) =
+    let c = { v with buf = Limb.create (v.n * v.k) } in
+    Limb.blit v.buf 0 c.buf 0 (v.n * v.k);
+    c
+
+  let equal (a : t) (b : t) =
+    a.n = b.n && a.k = b.k && (a.n = 0 || Limb.cmp a.buf 0 b.buf 0 (a.n * a.k) = 0)
+
+  (* [dot] on packed operands, with the same lazy schedule and count: the
+     products of nonzero pairs accumulate in a 2k-limb register (the
+     butterfly slots t|u) and are Barrett-reduced once per [dot_window]
+     terms; one [fp.mul_lazy] per such pair. The result is the only
+     allocation. *)
+  let dot ctx sc (a : t) (b : t) : el =
+    if a.n <> b.n then invalid_arg "Fp.Vec.dot: length mismatch";
+    let k = sc.sk and tmp = sc.tmp in
+    let off_prod = (4 * k) + 4 and off_acc = (6 * k) + 4 in
+    Limb.clear tmp off_acc (2 * k);
+    let pending = ref 0 and nmul = ref 0 in
+    for i = 0 to a.n - 1 do
+      if not (is_zero a i || is_zero b i) then begin
+        if !pending >= ctx.dot_window then begin
+          reduce_slice sc tmp off_acc tmp off_acc;
+          Limb.clear tmp (off_acc + k) k;
+          pending := 0
+        end;
+        Limb.mul tmp off_prod a.buf (i * k) k b.buf (i * k) k;
+        ignore (Limb.add tmp off_acc tmp off_acc tmp off_prod (2 * k));
+        incr pending;
+        incr nmul
+      end
+    done;
+    Zobs.Counter.add ctx.cnt_mul_lazy !nmul;
+    reduce_slice sc tmp off_acc tmp off_acc;
+    Limb.to_nat tmp off_acc k
+
+  (* Wire codec kernels: a slot to and from its fixed-width little-endian
+     bytes. Decoding is range-checked in place — a value at or above the
+     modulus is refused, never reduced. *)
+  let load_bytes sc (v : t) i b off len =
+    let o = i * v.k in
+    Nat.slice_of_bytes b off len v.buf o v.k && Limb.cmp v.buf o sc.p_l 0 v.k < 0
+
+  let add_bytes buf (v : t) i len = Nat.add_slice_bytes_le buf v.buf (i * v.k) v.k len
 end
+
+let batch_inv ctx xs =
+  let v = Vec.of_array ctx xs in
+  Vec.inv_all ctx (scratch_for ctx) v;
+  Vec.to_array v

@@ -147,4 +147,35 @@ module Vec : sig
 
   val scale_all : ctx -> scratch -> t -> t -> int -> unit
   (** Multiply every slot of the vector by slot [ci] of [c]. *)
+
+  val axpy : ctx -> scratch -> t -> t -> int -> t -> unit
+  (** [axpy ctx sc dst a ai x]: [dst.(j) <- dst.(j) + a.(ai) * x.(j)]
+      for every slot [j]; one counted [fp.mul] per slot, no allocation.
+      [dst] must not be [a]. *)
+
+  val sum : ctx -> scratch -> t -> t -> t
+  (** A fresh vector holding [a + b] slot by slot. *)
+
+  val inv_all : ctx -> scratch -> t -> unit
+  (** {!Fp.batch_inv} in place: 3n counted [fp.mul] and one [fp.inv];
+      raises [Division_by_zero] on a zero slot. *)
+
+  val copy : t -> t
+
+  val equal : t -> t -> bool
+  (** Same length and the same residue in every slot. *)
+
+  val dot : ctx -> scratch -> t -> t -> el
+  (** {!Fp.dot} on packed operands: the same lazy reduction schedule and
+      the same count, one [fp.mul_lazy] per pair with both slots nonzero.
+      Allocates only the result. *)
+
+  val load_bytes : scratch -> t -> int -> bytes -> int -> int -> bool
+  (** [load_bytes sc v i b off len] decodes the [len] little-endian bytes
+      at [b.(off)] into slot [i]; [false] (slot unspecified) when the
+      value is not a canonical residue. The caller bounds [off + len].
+      Allocation-free. *)
+
+  val add_bytes : Buffer.t -> t -> int -> int -> unit
+  (** [add_bytes buf v i len]: slot [i] as [len] little-endian bytes. *)
 end

@@ -140,3 +140,49 @@ let mul_low (dst : a) dso (x : a) xo wa (y : a) yo wb wout =
 
 let of_nat (n : Nat.t) (dst : a) off w = Nat.to_slice n dst off w
 let to_nat (src : a) off w = Nat.of_slice src off w
+
+(* ---- Montgomery reduction (CIOS) ---- *)
+
+(* -p0^{-1} mod 2^31 for odd p0 by Hensel lifting: x = p0 is already
+   right mod 8, and x <- x (2 - p0 x) doubles the correct low bits. *)
+let neg_inv p0 =
+  let x = ref p0 in
+  for _ = 1 to 4 do
+    x := (!x * ((2 - (p0 * !x)) land mask)) land mask
+  done;
+  (- !x) land mask
+
+(* dst <- a * b * 2^(-31k) mod p on k-limb slices (inputs < p). CIOS
+   form — one multiply-accumulate row and one reduction row per limb of
+   b, 2k^2 limb products in the single (k+2)-limb accumulator [t] — so
+   the result equals the textbook REDC(a * b): the canonical residue.
+   Each step is limb * limb + limb + limb <= 2^62 - 1. [dst] may alias
+   either input slice (it is written last). Zero allocations. *)
+let redc ~k ~n0 (p : a) (t : a) (dst : a) dso (x : a) xo (y : a) yo =
+  fill t 0 (k + 2) 0;
+  for i = 0 to k - 1 do
+    let yi = get y (yo + i) in
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let s = get t j + (get x (xo + j) * yi) + !c in
+      set t j (s land mask);
+      c := s lsr base_bits
+    done;
+    let s = get t k + !c in
+    set t k (s land mask);
+    set t (k + 1) (s lsr base_bits);
+    (* add m * p with m chosen so the low limb cancels, then shift one limb *)
+    let m = (get t 0 * n0) land mask in
+    let c = ref ((get t 0 + (m * get p 0)) lsr base_bits) in
+    for j = 1 to k - 1 do
+      let s = get t j + (m * get p j) + !c in
+      set t (j - 1) (s land mask);
+      c := s lsr base_bits
+    done;
+    let s = get t k + !c in
+    set t (k - 1) (s land mask);
+    set t k (get t (k + 1) + (s lsr base_bits))
+  done;
+  (* t < 2p over k limbs plus the top limb t.(k): one conditional
+     subtraction (its borrow cancels the top limb). *)
+  if get t k <> 0 || cmp t 0 p 0 k >= 0 then ignore (sub dst dso t 0 p 0 k) else blit t 0 dst dso k

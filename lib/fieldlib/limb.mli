@@ -53,3 +53,16 @@ val of_nat : Nat.t -> a -> int -> int -> unit
 
 val to_nat : a -> int -> int -> Nat.t
 (** Read a [w]-limb slice back as a canonical natural. *)
+
+(** {2 Montgomery reduction} *)
+
+val neg_inv : int -> int
+(** [neg_inv p0] is [-p0^(-1) mod 2^31] for an odd limb [p0]. *)
+
+val redc : k:int -> n0:int -> a -> a -> a -> int -> a -> int -> a -> int -> unit
+(** [redc ~k ~n0 p t dst dso x xo y yo]: [dst <- x * y * 2^(-31k) mod p]
+    on [k]-limb slices with [x, y < p] (the modulus at [p.(0)], [n0] its
+    {!neg_inv}), via the [(k+2)]-limb accumulator [t]. CIOS; the result
+    is canonical, [dst] may alias either input, nothing is allocated.
+    The one Montgomery kernel behind every group product and the field's
+    scalar-times-vector loop. *)

@@ -15,17 +15,6 @@ let c_mul = Zobs.Counter.make "mont.mul"
 let modulus ctx = ctx.p
 let equal = Nat.equal
 
-let lmask = (1 lsl 31) - 1
-
-(* -p0^{-1} mod 2^31 for odd p0 by Hensel lifting: x = p0 is already
-   right mod 8, and x <- x (2 - p0 x) doubles the correct low bits. *)
-let neg_inv_limb p0 =
-  let x = ref p0 in
-  for _ = 1 to 4 do
-    x := (!x * ((2 - (p0 * !x)) land lmask)) land lmask
-  done;
-  (- !x) land lmask
-
 let create p =
   if Nat.is_even p || Nat.compare p (Nat.of_int 3) < 0 then
     invalid_arg "Montgomery.create: modulus must be odd and >= 3";
@@ -33,7 +22,7 @@ let create p =
   let r = Nat.shift_left Nat.one (31 * k) in
   let r_mod_p = snd (Nat.divmod r p) in
   let r2_mod_p = snd (Nat.divmod (Nat.sqr r_mod_p) p) in
-  { p; k; r_mod_p; r2_mod_p; n0 = neg_inv_limb (Nat.limb p 0) }
+  { p; k; r_mod_p; r2_mod_p; n0 = Limb.neg_inv (Nat.limb p 0) }
 
 (* ------------------------------------------------------------------ *)
 (* Packed REDC: the one Montgomery product, on limb slices              *)
@@ -91,42 +80,10 @@ let scratch_for ctx =
 
 (* dst <- a * b * R^{-1} mod p on k-limb slices (inputs < p), uncounted:
    the boundary conversions use it with b = 1 or R^2, which are not
-   multiplications of the exponentiation ladder. CIOS form — one
-   multiply-accumulate row and one reduction row per limb of b, 2k^2
-   limb products in a single k+2-limb accumulator — so the result equals
-   the textbook REDC(a * b) (both are the canonical residue). Each step
-   is limb * limb + limb + limb <= 2^62 - 1. [dst] may alias either
-   input slice (it is written last). Zero allocations. *)
+   multiplications of the exponentiation ladder. The CIOS kernel itself
+   is [Limb.redc]. Zero allocations. *)
 let redc_into sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
-  let k = sc.mk and t = sc.t and p = sc.consts and n0 = sc.n0 in
-  Limb.fill t 0 (k + 2) 0;
-  for i = 0 to k - 1 do
-    let bi = Limb.get b (bo + i) in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Limb.get t j + (Limb.get a (ao + j) * bi) + !c in
-      Limb.set t j (s land lmask);
-      c := s lsr 31
-    done;
-    let s = Limb.get t k + !c in
-    Limb.set t k (s land lmask);
-    Limb.set t (k + 1) (s lsr 31);
-    (* add m * p with m chosen so the low limb cancels, then shift one limb *)
-    let m = (Limb.get t 0 * n0) land lmask in
-    let c = ref ((Limb.get t 0 + (m * Limb.get p 0)) lsr 31) in
-    for j = 1 to k - 1 do
-      let s = Limb.get t j + (m * Limb.get p j) + !c in
-      Limb.set t (j - 1) (s land lmask);
-      c := s lsr 31
-    done;
-    let s = Limb.get t k + !c in
-    Limb.set t (k - 1) (s land lmask);
-    Limb.set t k (Limb.get t (k + 1) + (s lsr 31))
-  done;
-  (* t < 2p over k limbs plus the top limb t.(k): one conditional
-     subtraction (its borrow cancels the top limb). *)
-  if Limb.get t k <> 0 || Limb.cmp t 0 p 0 k >= 0 then ignore (Limb.sub dst dso t 0 p 0 k)
-  else Limb.blit t 0 dst dso k
+  Limb.redc ~k:sc.mk ~n0:sc.n0 sc.consts sc.t dst dso a ao b bo
 
 (* dst <- REDC(a * b), everything in Montgomery form. One counted
    [mont.mul], zero allocations. *)
@@ -283,25 +240,43 @@ let fb_precompute ctx ?(window = 5) ~bits b =
 
 let fb_bits fb = fb.fb_window * fb.fb_digits
 
+(* Bits [lo, lo+w) of the n-limb slice at src.(off), w < 31. *)
+let slice_digit (src : Limb.a) off n lo w =
+  let li = lo / 31 and o = lo mod 31 in
+  let v = if li < n then Limb.get src (off + li) lsr o else 0 in
+  let v = if o + w > 31 && li + 1 < n then v lor (Limb.get src (off + li + 1) lsl (31 - o)) else v in
+  v land ((1 lsl w) - 1)
+
 (* The accumulator starts from one in Montgomery form and multiplies
    every nonzero digit's entry in (counted [mont.mul]s, as a ladder
    would); the final REDC by 1 leaves Montgomery form in the register, so
-   the returned residue is the only allocation. *)
-let fb_pow ctx fb e =
-  let nbits = Nat.num_bits e in
-  if nbits > fb_bits fb then invalid_arg "Montgomery.fb_pow: exponent wider than the table";
+   the returned residue is the only allocation. The exponent is read
+   digit by digit straight from its limb slice. *)
+let fb_pow_core ctx sc fb (src : Limb.a) off n =
   let k = fb.fb_k in
-  let sc = scratch_for ctx in
   let w = fb.fb_window and m = (1 lsl fb.fb_window) - 1 in
   Limb.of_nat ctx.r_mod_p sc.reg 0 k;
-  let i = ref 0 in
-  while !i * w < nbits do
-    let d = Nat.bits e ~lo:(!i * w) ~w in
-    if d <> 0 then mul_into ctx sc sc.reg 0 sc.reg 0 fb.fb_tab (((!i * m) + d - 1) * k);
-    incr i
+  for i = 0 to fb.fb_digits - 1 do
+    let d = slice_digit src off n (i * w) w in
+    if d <> 0 then mul_into ctx sc sc.reg 0 sc.reg 0 fb.fb_tab (((i * m) + d - 1) * k)
   done;
   redc_into sc sc.reg 0 sc.reg 0 sc.consts (c_one sc);
   Limb.to_nat sc.reg 0 k
+
+let fb_pow_slice ctx fb (src : Limb.a) off n =
+  let top = fb_bits fb in
+  for j = top / 31 to n - 1 do
+    let v = Limb.get src (off + j) in
+    if (if j = top / 31 then v lsr (top mod 31) else v) <> 0 then
+      invalid_arg "Montgomery.fb_pow_slice: exponent wider than the table"
+  done;
+  fb_pow_core ctx (scratch_for ctx) fb src off n
+
+let fb_pow ctx fb e =
+  if Nat.num_bits e > fb_bits fb then invalid_arg "Montgomery.fb_pow: exponent wider than the table";
+  let sc = scratch_for ctx in
+  Limb.of_nat e sc.reg2 0 sc.mk;
+  fb_pow_core ctx sc fb sc.reg2 0 sc.mk
 
 (* Pippenger bucket multi-exponentiation: prod_i bases.(i)^exps.(i).
    Exponents are scanned c bits at a time from the top; within a window

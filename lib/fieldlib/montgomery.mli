@@ -68,6 +68,12 @@ val fb_pow : ctx -> fb -> t -> t
     nonzero digit; the returned natural is the only allocation. Raises
     [Invalid_argument] if the exponent is wider than the table. *)
 
+val fb_pow_slice : ctx -> fb -> Limb.a -> int -> int -> t
+(** [fb_pow_slice ctx fb src off n]: {!fb_pow} with the exponent read
+    digit by digit from the [n]-limb slice at [src.(off)] (a packed
+    {!Fp.Vec} slot), so no exponent is ever boxed. Same count, same
+    result, same range check. *)
+
 val pow2 : ctx -> el -> t -> el -> t -> el
 (** [pow2 ctx b1 e1 b2 e2 = b1^e1 * b2^e2] by Shamir/Straus simultaneous
     exponentiation: one shared squaring chain, about half the cost of two

@@ -543,6 +543,52 @@ let of_slice (src : slice) off w : t =
   done;
   r
 
+(* Bytes straight into a slice through the same bit accumulator as
+   [load_bits_le]. Limbs past [w] must come out zero: a set bit there
+   means the value does not fit, reported as [false]. *)
+let slice_of_bytes b off len (dst : slice) doff w =
+  let acc = ref 0 and accbits = ref 0 and li = ref 0 and fits = ref true in
+  for i = 0 to len - 1 do
+    acc := !acc lor (Char.code (Bytes.unsafe_get b (off + i)) lsl !accbits);
+    accbits := !accbits + 8;
+    if !accbits >= base_bits then begin
+      let v = !acc land mask in
+      if !li < w then slice_set dst (doff + !li) v else if v <> 0 then fits := false;
+      incr li;
+      acc := !acc lsr base_bits;
+      accbits := !accbits - base_bits
+    end
+  done;
+  if !acc <> 0 then begin
+    if !li < w then slice_set dst (doff + !li) !acc else fits := false;
+    incr li
+  end;
+  for i = !li to w - 1 do
+    slice_set dst (doff + i) 0
+  done;
+  !fits
+
+(* Bits [lo, lo+16) of a w-limb slice (zero past the top). *)
+let slice_u16 (s : slice) off w lo =
+  let li = lo / base_bits and o = lo mod base_bits in
+  let v = if li < w then slice_get s (off + li) lsr o else 0 in
+  let v = if o > base_bits - 16 && li + 1 < w then v lor (slice_get s (off + li + 1) lsl (base_bits - o)) else v in
+  v land 0xffff
+
+let add_slice_bytes_le buf (src : slice) off w len =
+  (* the value fits [len] bytes iff every bit at or past 8 len is zero *)
+  let top = 8 * len in
+  let li = top / base_bits in
+  for j = li to w - 1 do
+    let v = slice_get src (off + j) in
+    if (if j = li then v lsr (top mod base_bits) else v) <> 0 then
+      invalid_arg "Nat.add_slice_bytes_le: does not fit"
+  done;
+  for i = 0 to (len / 2) - 1 do
+    Buffer.add_uint16_le buf (slice_u16 src off w (16 * i))
+  done;
+  if len land 1 = 1 then Buffer.add_char buf (Char.unsafe_chr (slice_u16 src off w (8 * (len - 1)) land 0xff))
+
 
 let add_into ~width (dst : int array) (a : int array) (b : int array) : int =
   let carry = ref 0 in

@@ -148,6 +148,18 @@ val to_slice : t -> slice -> int -> int -> unit
 
 val of_slice : slice -> int -> int -> t
 
+val slice_of_bytes : bytes -> int -> int -> slice -> int -> int -> bool
+(** [slice_of_bytes b off len dst doff w] decodes the little-endian
+    [b.(off .. off+len-1)] into the [w]-limb slice at [dst.(doff)],
+    zero-padded. Returns [false] (slice contents unspecified) when the
+    value needs more than [w] limbs. The caller bounds [off + len].
+    Allocation-free. *)
+
+val add_slice_bytes_le : Buffer.t -> slice -> int -> int -> int -> unit
+(** [add_slice_bytes_le buf src off w len] appends the [len]-byte
+    little-endian encoding of the [w]-limb slice at [src.(off)]; raises
+    as {!to_bytes_le} when it does not fit. *)
+
 val add_into : width:int -> int array -> int array -> int array -> int
 (** [add_into ~width dst a b] sets [dst.(0..width-1) <- a + b] and returns
     the carry out (0 or 1). [dst] may alias [a] and/or [b]. *)

@@ -12,27 +12,30 @@ open Fieldlib
 type t = {
   z_len : int;
   h_len : int;
-  query_z : Fp.el array -> Fp.el;
-  query_h : Fp.el array -> Fp.el;
+  query_z : Fp.Vec.t -> Fp.el;
+  query_h : Fp.Vec.t -> Fp.el;
 }
 
-let check_len name expected (q : Fp.el array) =
-  if Array.length q <> expected then
-    invalid_arg (Printf.sprintf "Oracle.%s: query length %d, expected %d" name (Array.length q) expected)
+let check_len name expected (q : Fp.Vec.t) =
+  if Fp.Vec.length q <> expected then
+    invalid_arg (Printf.sprintf "Oracle.%s: query length %d, expected %d" name (Fp.Vec.length q) expected)
 
-(* The honest oracle for a proof vector (u_z, u_h). *)
+(* The honest oracle for a proof vector (u_z, u_h): packed once, then
+   each query is one packed dot. The scratch is looked up per query, not
+   captured, because answers may be spread over domains. *)
 let honest ctx (u_z : Fp.el array) (u_h : Fp.el array) =
+  let vz = Fp.Vec.of_array ctx u_z and vh = Fp.Vec.of_array ctx u_h in
   {
     z_len = Array.length u_z;
     h_len = Array.length u_h;
     query_z =
       (fun q ->
         check_len "query_z" (Array.length u_z) q;
-        Fp.dot ctx q u_z);
+        Fp.Vec.dot ctx (Fp.scratch_for ctx) q vz);
     query_h =
       (fun q ->
         check_len "query_h" (Array.length u_h) q;
-        Fp.dot ctx q u_h);
+        Fp.Vec.dot ctx (Fp.scratch_for ctx) q vh);
   }
 
 (* A linear oracle whose z part encodes the wrong vector: commits to
@@ -44,7 +47,11 @@ let wrong_vector ctx (u_z : Fp.el array) (u_h : Fp.el array) = honest ctx u_z u_
 let nonlinear ctx (inner : t) =
   let poison q =
     (* A deterministic non-linear function of the query: sum of squares. *)
-    Array.fold_left (fun acc x -> Fp.add ctx acc (Fp.sqr ctx x)) Fp.zero q
+    let acc = ref Fp.zero in
+    for i = 0 to Fp.Vec.length q - 1 do
+      acc := Fp.add ctx !acc (Fp.sqr ctx (Fp.Vec.get q i))
+    done;
+    !acc
   in
   {
     inner with

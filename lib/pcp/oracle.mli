@@ -13,12 +13,14 @@ open Fieldlib
 type t = {
   z_len : int;
   h_len : int;
-  query_z : Fp.el array -> Fp.el;
-  query_h : Fp.el array -> Fp.el;
+  query_z : Fp.Vec.t -> Fp.el;  (** queries arrive packed *)
+  query_h : Fp.Vec.t -> Fp.el;
 }
 
 val honest : Fp.ctx -> Fp.el array -> Fp.el array -> t
-(** [honest ctx u_z u_h]: the linear functions [<., u_z>] and [<., u_h>]. *)
+(** [honest ctx u_z u_h]: the linear functions [<., u_z>] and [<., u_h>],
+    answered by {!Fp.Vec.dot} (the same [fp.mul_lazy] count as
+    {!Fp.dot}). *)
 
 val wrong_vector : Fp.ctx -> Fp.el array -> Fp.el array -> t
 (** A linear oracle for the wrong vector — still linear, caught by the

@@ -84,12 +84,10 @@ type repetition = {
 }
 
 type queries = {
-  q1 : Fp.el array array; (* to pi1, length |Z| each *)
-  q2 : Fp.el array array; (* to pi2, length |Z|^2 each *)
+  q1 : Fp.Vec.t array; (* to pi1, length |Z| each *)
+  q2 : Fp.Vec.t array; (* to pi2, length |Z|^2 each *)
   reps : repetition array;
 }
-
-let add_vec ctx a b = Array.init (Array.length a) (fun i -> Fp.add ctx a.(i) b.(i))
 
 let c_queries_1 = Zobs.Counter.make "pcp_ginger.queries_1"
 let c_queries_2 = Zobs.Counter.make "pcp_ginger.queries_2"
@@ -104,11 +102,13 @@ let gen_queries ?(params = paper_params) ctx (bound : Quad.system) (prg : Chacha
   let push2 q = q2 := q :: !q2; incr n2; !n2 - 1 in
   let get1 i = List.nth !q1 (!n1 - 1 - i) in
   let get2 i = List.nth !q2 (!n2 - 1 - i) in
-  let rand_vec len = Array.init len (fun _ -> Chacha.Prg.field ctx prg) in
+  let sc = Fp.scratch_for ctx in
+  let blinded (e : Fp.el array) b = Fp.Vec.sum ctx sc (Fp.Vec.of_array ctx e) b in
   let repetition () =
     let triple push len =
-      let a = rand_vec len and b = rand_vec len in
-      let c = add_vec ctx a b in
+      let a = Chacha.Prg.field_vec ctx prg len in
+      let b = Chacha.Prg.field_vec ctx prg len in
+      let c = Fp.Vec.sum ctx sc a b in
       let ia = push a in
       let ib = push b in
       let ic = push c in
@@ -121,15 +121,16 @@ let gen_queries ?(params = paper_params) ctx (bound : Quad.system) (prg : Chacha
     let iblind1c, _, _ = lin_1.(1) in
     let iblind2c, _, _ = lin_2.(1) in
     (* quadratic correction *)
-    let a = rand_vec n and b = rand_vec n in
-    let iqa = push1 (add_vec ctx a (get1 iblind1)) in
-    let iqb = push1 (add_vec ctx b (get1 iblind1')) in
-    let iqab = push2 (add_vec ctx (outer ctx a b) (get2 iblind2)) in
+    let a = Chacha.Prg.field_array ctx prg n in
+    let b = Chacha.Prg.field_array ctx prg n in
+    let iqa = push1 (blinded a (get1 iblind1)) in
+    let iqb = push1 (blinded b (get1 iblind1')) in
+    let iqab = push2 (blinded (outer ctx a b) (get2 iblind2)) in
     (* circuit test *)
-    let v = rand_vec nc in
+    let v = Chacha.Prg.field_array ctx prg nc in
     let gamma0, gamma1, gamma2 = circuit_coeffs ctx bound v in
-    let ig1 = push1 (add_vec ctx gamma1 (get1 iblind1c)) in
-    let ig2 = push2 (add_vec ctx gamma2 (get2 iblind2c)) in
+    let ig1 = push1 (blinded gamma1 (get1 iblind1c)) in
+    let ig2 = push2 (blinded gamma2 (get2 iblind2c)) in
     { lin_1; lin_2; iqa; iqb; iqab; iblind1; iblind1'; iblind2; ig1; ig2; iblind1c; iblind2c; gamma0 }
   in
   let reps = Array.init params.rho (fun _ -> repetition ()) in

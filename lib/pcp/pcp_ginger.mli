@@ -46,8 +46,8 @@ type repetition = {
 }
 
 type queries = {
-  q1 : Fp.el array array; (** to pi1, length |Z| each *)
-  q2 : Fp.el array array; (** to pi2, length |Z|^2 each *)
+  q1 : Fp.Vec.t array; (** to pi1, length |Z| each, packed *)
+  q2 : Fp.Vec.t array; (** to pi2, length |Z|^2 each *)
   reps : repetition array;
 }
 

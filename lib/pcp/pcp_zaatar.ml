@@ -39,13 +39,13 @@ type repetition = {
   qap_q : Qapb.queries;
 }
 
+(* One packed vector per query (DESIGN.md §18): generated, combined into
+   the decommit vector, encoded and answered slot by slot. *)
 type queries = {
-  z_queries : Fp.el array array;
-  h_queries : Fp.el array array;
+  z_queries : Fp.Vec.t array;
+  h_queries : Fp.Vec.t array;
   reps : repetition array;
 }
-
-let add_vec ctx a b = Array.init (Array.length a) (fun i -> Fp.add ctx a.(i) b.(i))
 
 (* Commit/decommit-side query volumes: what the batch amortizes (§2.2). *)
 let c_queries_z = Zobs.Counter.make "pcp.queries_z"
@@ -65,12 +65,14 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
     ~attrs:[ ("rho", string_of_int params.rho); ("rho_lin", string_of_int params.rho_lin) ]
   @@ fun () ->
   let ctx = Qapb.ctx qap in
+  let sc = Fp.scratch_for ctx in
   let n' = (Qapb.sys qap).R1cs.num_z in
   let hl = Qapb.h_len qap in
   (* Per repetition: 3 rho_lin linearity queries per oracle, plus the
      three blinded z queries and the one blinded h query. *)
-  let zq = Array.make (params.rho * ((3 * params.rho_lin) + 3)) [||] in
-  let hq = Array.make (params.rho * ((3 * params.rho_lin) + 1)) [||] in
+  let empty = Fp.Vec.create ctx 0 in
+  let zq = Array.make (params.rho * ((3 * params.rho_lin) + 3)) empty in
+  let hq = Array.make (params.rho * ((3 * params.rho_lin) + 1)) empty in
   let nz = ref 0 and nh = ref 0 in
   let push_z q =
     zq.(!nz) <- q;
@@ -82,14 +84,14 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
     incr nh;
     !nh - 1
   in
-  let rand_vec len = Array.init len (fun _ -> Chacha.Prg.field ctx prg) in
+  let blinded (e : Fp.el array) b = Fp.Vec.sum ctx sc (Fp.Vec.of_array ctx e) b in
   let repetition () =
     let lin_triple push len =
-      let q5 = rand_vec len and q6 = rand_vec len in
-      let q7 = add_vec ctx q5 q6 in
+      let q5 = Chacha.Prg.field_vec ctx prg len in
+      let q6 = Chacha.Prg.field_vec ctx prg len in
       let i5 = push q5 in
       let i6 = push q6 in
-      let i7 = push q7 in
+      let i7 = push (Fp.Vec.sum ctx sc q5 q6) in
       (i5, i6, i7)
     in
     let lin_z = Array.init params.rho_lin (fun _ -> lin_triple push_z n') in
@@ -98,13 +100,10 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
     let iblind_h, _, _ = lin_h.(0) in
     let q5 = zq.(iblind_z) and q8 = hq.(iblind_h) in
     let qap_q = fresh_tau ctx qap prg in
-    let qa = Qapb.z_slice qap qap_q.Qapb.a_tau in
-    let qb = Qapb.z_slice qap qap_q.Qapb.b_tau in
-    let qc = Qapb.z_slice qap qap_q.Qapb.c_tau in
-    let iq1 = push_z (add_vec ctx qa q5) in
-    let iq2 = push_z (add_vec ctx qb q5) in
-    let iq3 = push_z (add_vec ctx qc q5) in
-    let iq4 = push_h (add_vec ctx qap_q.Qapb.qd q8) in
+    let iq1 = push_z (blinded (Qapb.z_slice qap qap_q.Qapb.a_tau) q5) in
+    let iq2 = push_z (blinded (Qapb.z_slice qap qap_q.Qapb.b_tau) q5) in
+    let iq3 = push_z (blinded (Qapb.z_slice qap qap_q.Qapb.c_tau) q5) in
+    let iq4 = push_h (blinded qap_q.Qapb.qd q8) in
     { lin_z; lin_h; iq1; iq2; iq3; iq4; iblind_z; iblind_h; qap_q }
   in
   let reps = Array.init params.rho (fun _ -> repetition ()) in

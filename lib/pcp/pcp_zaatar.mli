@@ -39,13 +39,15 @@ type repetition = {
 }
 
 type queries = {
-  z_queries : Fp.el array array; (** each of length n' *)
-  h_queries : Fp.el array array; (** each of length |C|+1 *)
+  z_queries : Fp.Vec.t array; (** one packed vector per query, each of length n' *)
+  h_queries : Fp.Vec.t array; (** each of length [Qapb.h_len] *)
   reps : repetition array;
 }
 
 val gen_queries : ?params:params -> Qapb.t -> Chacha.Prg.t -> queries
-(** Verifier side; resamples tau internally on {!Qapb.Tau_collision}. *)
+(** Verifier side; resamples tau internally on {!Qapb.Tau_collision}.
+    Random queries are drawn straight into their slots; q7 = q5 + q6 and
+    the blinded q1..q4 are packed adds. *)
 
 type responses = { z_resp : Fp.el array; h_resp : Fp.el array }
 

@@ -66,8 +66,8 @@ type commit_request = {
 }
 
 type queries = {
-  z_queries : Fp.el array array;
-  h_queries : Fp.el array array;
+  z_queries : Fp.Vec.t array;
+  h_queries : Fp.Vec.t array;
   t_z : Fp.el array;
   t_h : Fp.el array;
 }
@@ -185,6 +185,17 @@ let put_vecs b ~width (vs : Fp.el array array) =
   put_u32 b (Array.length vs);
   Array.iter (put_vec b ~width) vs
 
+(* Packed queries: each slot's limbs straight to bytes, no element boxed. *)
+let put_packed b ~width (vs : Fp.Vec.t array) =
+  put_u32 b (Array.length vs);
+  Array.iter
+    (fun v ->
+      put_u32 b (Fp.Vec.length v);
+      for i = 0 to Fp.Vec.length v - 1 do
+        Fp.Vec.add_bytes b v i width
+      done)
+    vs
+
 let put_ct b ~width (ct : Elgamal.ciphertext) =
   put_el b ~width ct.Elgamal.c1;
   put_el b ~width ct.Elgamal.c2
@@ -262,6 +273,22 @@ let get_vecs r ~width ~ctx what =
   let n = get_count r ~min_size:4 what in
   Array.init n (fun _ -> get_vec r ~width ~ctx what)
 
+(* Packed queries, decoded in place: each slot's bytes go straight into
+   its limbs and are range-checked there, with the same taxonomy as
+   [get_el] — Truncated before Out_of_range. *)
+let get_packed r ~width ~ctx what =
+  let sc = Fp.scratch_for ctx in
+  let n = get_count r ~min_size:4 what in
+  Array.init n (fun _ ->
+      let len = get_count r ~min_size:width what in
+      let v = Fp.Vec.create ctx len in
+      for i = 0 to len - 1 do
+        need r width what;
+        if not (Fp.Vec.load_bytes sc v i r.buf r.pos width) then fail (Out_of_range what);
+        r.pos <- r.pos + width
+      done;
+      v)
+
 let get_ct r ~width ~modulus what =
   let c1 = get_gel r ~width ~modulus what in
   let c2 = get_gel r ~width ~modulus what in
@@ -321,8 +348,8 @@ let encode_payload ?codec ~version:v b = function
       | Some c -> Fp.num_bytes c.field
       | None -> invalid_arg "Zwire.encode: Queries needs a codec with the field"
     in
-    put_vecs b ~width q.z_queries;
-    put_vecs b ~width q.h_queries;
+    put_packed b ~width q.z_queries;
+    put_packed b ~width q.h_queries;
     put_vec b ~width q.t_z;
     put_vec b ~width q.t_h
   | Answers insts ->
@@ -389,8 +416,8 @@ let decode_payload ?codec ~version:v r tag =
            (cz, ch)))
   | 5 ->
     let width, ctx = field_width codec "queries (field modulus)" in
-    let z_queries = get_vecs r ~width ~ctx "queries.z" in
-    let h_queries = get_vecs r ~width ~ctx "queries.h" in
+    let z_queries = get_packed r ~width ~ctx "queries.z" in
+    let h_queries = get_packed r ~width ~ctx "queries.h" in
     let t_z = get_vec r ~width ~ctx "queries.t_z" in
     let t_h = get_vec r ~width ~ctx "queries.t_h" in
     Queries { z_queries; h_queries; t_z; t_h }
@@ -508,7 +535,9 @@ let msg_equal a b =
   | Commitments x, Commitments y ->
     arr_eq (fun (a1, a2) (b1, b2) -> ct_eq a1 b1 && ct_eq a2 b2) x y
   | Queries x, Queries y ->
-    vecs_eq x.z_queries y.z_queries && vecs_eq x.h_queries y.h_queries && vec_eq x.t_z y.t_z
+    arr_eq Fp.Vec.equal x.z_queries y.z_queries
+    && arr_eq Fp.Vec.equal x.h_queries y.h_queries
+    && vec_eq x.t_z y.t_z
     && vec_eq x.t_h y.t_h
   | Answers x, Answers y ->
     arr_eq

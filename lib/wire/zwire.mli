@@ -76,8 +76,8 @@ type commit_request = {
 }
 
 type queries = {
-  z_queries : Fp.el array array;
-  h_queries : Fp.el array array;
+  z_queries : Fp.Vec.t array;  (** one packed vector per query *)
+  h_queries : Fp.Vec.t array;
   t_z : Fp.el array;  (** decommit vector for pi_z *)
   t_h : Fp.el array;  (** decommit vector for pi_h *)
 }

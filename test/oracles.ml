@@ -76,3 +76,60 @@ let keystream key ~nonce n =
   let blocks = (n + 63) / 64 in
   let all = Bytes.concat Bytes.empty (List.init blocks (chacha_block key nonce_words)) in
   Bytes.sub all 0 n
+
+(* ---- Verifier set-up (DESIGN.md §18) ---- *)
+
+(* Public-key ElGamal: c2 = g^m * y^k, with a fixed-base table for y. The
+   form anyone holding y can compute, and the oracle for the key owner's
+   c2 = g^(m + x k). Three fixed-base powers per element. *)
+let y_table (pk : Zcrypto.Elgamal.public_key) = Zcrypto.Group.fb_precompute pk.grp pk.y
+
+let pk_encrypt_with_k (pk : Zcrypto.Elgamal.public_key) ~ytab ~(k : Nat.t) (m : Fp.el) =
+  let grp = pk.Zcrypto.Elgamal.grp in
+  let gtab = Zcrypto.Group.fb_g grp in
+  let gm = Zcrypto.Group.fb_pow grp gtab (Fp.to_nat m) in
+  {
+    Zcrypto.Elgamal.c1 = Zcrypto.Group.fb_pow grp gtab k;
+    c2 = Zcrypto.Group.mul grp gm (Zcrypto.Group.fb_pow grp ytab k);
+  }
+
+(* The boxed query generator: one [Fp.el array] per query, every random
+   element boxed as drawn and every sum a fresh array. Same PRG order as
+   [Pcp_zaatar.gen_queries]; returns (z queries, h queries, repetitions). *)
+let gen_queries_boxed ~(params : Pcp.Pcp_zaatar.params) (qap : Qapb.t) prg =
+  let open Pcp.Pcp_zaatar in
+  let ctx = Qapb.ctx qap in
+  let n' = (Qapb.sys qap).Constr.R1cs.num_z and hl = Qapb.h_len qap in
+  let add_vec a b = Array.init (Array.length a) (fun i -> Fp.add ctx a.(i) b.(i)) in
+  let rand_vec len = Array.init len (fun _ -> Chacha.Prg.field ctx prg) in
+  let zq = ref [] and hq = ref [] in
+  let push l q =
+    l := q :: !l;
+    List.length !l - 1
+  in
+  let nth l i = List.nth !l (List.length !l - 1 - i) in
+  let rec fresh_tau () =
+    let tau = Chacha.Prg.field ctx prg in
+    match Qapb.queries qap ~tau with q -> q | exception Qapb.Tau_collision -> fresh_tau ()
+  in
+  let repetition () =
+    let triple l len =
+      let q5 = rand_vec len in
+      let q6 = rand_vec len in
+      let i5 = push l q5 in
+      let i6 = push l q6 in
+      (i5, i6, push l (add_vec q5 q6))
+    in
+    let lin_z = Array.init params.rho_lin (fun _ -> triple zq n') in
+    let lin_h = Array.init params.rho_lin (fun _ -> triple hq hl) in
+    let iblind_z, _, _ = lin_z.(0) and iblind_h, _, _ = lin_h.(0) in
+    let q5 = nth zq iblind_z and q8 = nth hq iblind_h in
+    let qap_q = fresh_tau () in
+    let iq1 = push zq (add_vec (Qapb.z_slice qap qap_q.Qapb.a_tau) q5) in
+    let iq2 = push zq (add_vec (Qapb.z_slice qap qap_q.Qapb.b_tau) q5) in
+    let iq3 = push zq (add_vec (Qapb.z_slice qap qap_q.Qapb.c_tau) q5) in
+    let iq4 = push hq (add_vec qap_q.Qapb.qd q8) in
+    { lin_z; lin_h; iq1; iq2; iq3; iq4; iblind_z; iblind_h; qap_q }
+  in
+  let reps = Array.init params.rho (fun _ -> repetition ()) in
+  (Array.of_list (List.rev !zq), Array.of_list (List.rev !hq), reps)

@@ -23,7 +23,7 @@ let unit_tests =
         let sk, pk = Elgamal.keygen grp p in
         for i = 0 to 20 do
           let m = Fp.of_int ctx (i * 7919) in
-          let c = Elgamal.encrypt pk p m in
+          let c = Elgamal.encrypt sk p m in
           Alcotest.(check bool) "dec" true
             (Group.equal (Elgamal.decrypt_to_group sk c) (Elgamal.encode pk m))
         done);
@@ -31,7 +31,7 @@ let unit_tests =
         let p = prg "hom" in
         let sk, pk = Elgamal.keygen grp p in
         let a = Chacha.Prg.field ctx p and b = Chacha.Prg.field ctx p in
-        let ca = Elgamal.encrypt pk p a and cb = Elgamal.encrypt pk p b in
+        let ca = Elgamal.encrypt sk p a and cb = Elgamal.encrypt sk p b in
         let sum = Elgamal.hom_add pk ca cb in
         Alcotest.(check bool) "add" true
           (Group.equal (Elgamal.decrypt_to_group sk sum) (Elgamal.encode pk (Fp.add ctx a b)));
@@ -45,15 +45,15 @@ let unit_tests =
         let n = 12 in
         let r = Array.init n (fun _ -> Chacha.Prg.field ctx p) in
         let u = Array.init n (fun i -> if i mod 3 = 0 then Fp.zero else Chacha.Prg.field ctx p) in
-        let enc_r = Array.map (Elgamal.encrypt pk p) r in
+        let enc_r = Array.map (Elgamal.encrypt sk p) r in
         let c = Elgamal.hom_dot pk enc_r u in
         Alcotest.(check bool) "dot" true
           (Group.equal (Elgamal.decrypt_to_group sk c) (Elgamal.encode pk (Fp.dot ctx u r))));
     Alcotest.test_case "ciphertexts are randomized" `Quick (fun () ->
         let p = prg "rand" in
-        let _, pk = Elgamal.keygen grp p in
+        let sk, _ = Elgamal.keygen grp p in
         let m = Fp.of_int ctx 42 in
-        let c1 = Elgamal.encrypt pk p m and c2 = Elgamal.encrypt pk p m in
+        let c1 = Elgamal.encrypt sk p m and c2 = Elgamal.encrypt sk p m in
         Alcotest.(check bool) "differ" false
           (Group.equal c1.Elgamal.c1 c2.Elgamal.c1 && Group.equal c1.Elgamal.c2 c2.Elgamal.c2));
   ]
@@ -65,7 +65,7 @@ let commit_tests =
         let u = Array.init 10 (fun i -> Fp.of_int ctx (i + 1)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:10 in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 5 (fun _ -> Array.init 10 (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries = Array.init 5 (fun _ -> Chacha.Prg.field_vec ctx p 10) in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         let ans = Commitment.Commit.prover_answer ctx u queries ch.Commitment.Commit.t in
         Alcotest.(check bool) "accept" true
@@ -75,7 +75,7 @@ let commit_tests =
         let u = Array.init 10 (fun i -> Fp.of_int ctx (i + 1)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:10 in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 5 (fun _ -> Array.init 10 (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries = Array.init 5 (fun _ -> Chacha.Prg.field_vec ctx p 10) in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         let ans = Commitment.Commit.prover_answer ctx u queries ch.Commitment.Commit.t in
         (* Tamper with one PCP answer after committing. *)
@@ -89,7 +89,7 @@ let commit_tests =
         let u' = Array.init 8 (fun i -> Fp.of_int ctx (i + 3)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:8 in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 3 (fun _ -> Array.init 8 (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries = Array.init 3 (fun _ -> Chacha.Prg.field_vec ctx p 8) in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         (* Answer queries with u' while having committed to u. *)
         let ans = Commitment.Commit.prover_answer ctx u' queries ch.Commitment.Commit.t in

@@ -192,11 +192,11 @@ let hom_dot_tests =
   [
     Alcotest.test_case "hom_dot = hom_dot_naive" `Quick (fun () ->
         let p = prg "hom_dot" in
-        let _, pk = Elgamal.keygen grp p in
+        let sk, pk = Elgamal.keygen grp p in
         List.iter
           (fun n ->
             let r = Array.init n (fun _ -> Chacha.Prg.field ctx p) in
-            let enc_r = Array.map (Elgamal.encrypt pk p) r in
+            let enc_r = Array.map (Elgamal.encrypt sk p) r in
             (* Mix of zeros (skipped), ones (bare hom_add) and generic
                coefficients, the three hom_dot partitions. *)
             let u =
@@ -232,15 +232,15 @@ let parallel_tests =
         Array.iteri
           (fun i r1 ->
             Alcotest.(check bool) (Printf.sprintf "r.%d" i) true
-              (Fp.equal r1 vs4.Commitment.Commit.r.(i)))
-          vs1.Commitment.Commit.r);
+              (Fp.equal r1 (Fp.Vec.get vs4.Commitment.Commit.r i)))
+          (Fp.Vec.to_array vs1.Commitment.Commit.r));
     Alcotest.test_case "commitment protocol accepts with domains > 1" `Quick (fun () ->
         let p = prg "par protocol" in
         let n = 11 in
         let u = Array.init n (fun _ -> Chacha.Prg.field ctx p) in
         let req, vs = Commitment.Commit.commit_request ~domains:3 ctx grp p ~len:n in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 4 (fun _ -> Array.init n (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries = Array.init 4 (fun _ -> Chacha.Prg.field_vec ctx p n) in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         let ans = Commitment.Commit.prover_answer ctx u queries ch.Commitment.Commit.t in
         Alcotest.(check bool) "accept" true

@@ -100,10 +100,10 @@ let zaatar_tests =
         let prg = Chacha.Prg.create ~seed:"len" () in
         let q = Pcp_zaatar.gen_queries ~params qap prg in
         Array.iter
-          (fun v -> Alcotest.(check int) "z len" sys.R1cs.num_z (Array.length v))
+          (fun v -> Alcotest.(check int) "z len" sys.R1cs.num_z (Fp.Vec.length v))
           q.Pcp_zaatar.z_queries;
         Array.iter
-          (fun v -> Alcotest.(check int) "h len" (R1cs.num_constraints sys + 1) (Array.length v))
+          (fun v -> Alcotest.(check int) "h len" (R1cs.num_constraints sys + 1) (Fp.Vec.length v))
           q.Pcp_zaatar.h_queries);
   ]
 

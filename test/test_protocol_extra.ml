@@ -26,14 +26,14 @@ let unit_tests =
         Array.iteri
           (fun i v ->
             Array.iteri
-              (fun j x -> Alcotest.(check bool) "same z query" true (Fp.equal x q2.Pcp_zaatar.z_queries.(i).(j)))
-              v)
+              (fun j x -> Alcotest.(check bool) "same z query" true (Fp.equal x (Fp.Vec.get q2.Pcp_zaatar.z_queries.(i) j)))
+              (Fp.Vec.to_array v))
           q1.Pcp_zaatar.z_queries;
         Array.iteri
           (fun i v ->
             Array.iteri
-              (fun j x -> Alcotest.(check bool) "same h query" true (Fp.equal x q2.Pcp_zaatar.h_queries.(i).(j)))
-              v)
+              (fun j x -> Alcotest.(check bool) "same h query" true (Fp.equal x (Fp.Vec.get q2.Pcp_zaatar.h_queries.(i) j)))
+              (Fp.Vec.to_array v))
           q1.Pcp_zaatar.h_queries);
     Alcotest.test_case "different seeds give different queries" `Quick (fun () ->
         let sys, _ = random_sys 42 in
@@ -44,8 +44,8 @@ let unit_tests =
         Array.iteri
           (fun i v ->
             Array.iteri
-              (fun j x -> if not (Fp.equal x q2.Pcp_zaatar.z_queries.(i).(j)) then same := false)
-              v)
+              (fun j x -> if not (Fp.equal x (Fp.Vec.get q2.Pcp_zaatar.z_queries.(i) j)) then same := false)
+              (Fp.Vec.to_array v))
           q1.Pcp_zaatar.z_queries;
         Alcotest.(check bool) "differ" false !same);
     Alcotest.test_case "flaky oracle is rejected (failure injection)" `Quick (fun () ->

@@ -26,6 +26,7 @@ let vec prg n =
       | 2 when n > 3 -> Fp.sub fctx Fp.zero Fp.one
       | _ -> fel prg)
 
+let pvec prg n = Fp.Vec.of_array fctx (vec prg n)
 let ct prg = { Elgamal.c1 = gel prg; c2 = gel prg }
 let hex prg = Printf.sprintf "%016x" (Chacha.Prg.bits64 prg)
 
@@ -62,8 +63,8 @@ let gen_queries prg =
   let nq = Chacha.Prg.int_below prg 4 in
   Zwire.Queries
     {
-      z_queries = Array.init nq (fun _ -> vec prg (Chacha.Prg.int_below prg 6));
-      h_queries = Array.init nq (fun _ -> vec prg (Chacha.Prg.int_below prg 6));
+      z_queries = Array.init nq (fun _ -> pvec prg (Chacha.Prg.int_below prg 6));
+      h_queries = Array.init nq (fun _ -> pvec prg (Chacha.Prg.int_below prg 6));
       t_z = vec prg (Chacha.Prg.int_below prg 6);
       t_h = vec prg (Chacha.Prg.int_below prg 6);
     }
@@ -116,7 +117,7 @@ let check_error what expected got =
 let sample_msg () =
   let prg = prg_of 7 in
   Zwire.Queries
-    { z_queries = [| vec prg 5 |]; h_queries = [| vec prg 5 |]; t_z = vec prg 5; t_h = vec prg 5 }
+    { z_queries = [| pvec prg 5 |]; h_queries = [| pvec prg 5 |]; t_z = vec prg 5; t_h = vec prg 5 }
 
 let corruption_tests =
   [
