@@ -33,22 +33,22 @@ type cfg = {
   qap_backend : Qapb.backend; (* --qap-backend auto|ntt|lagrange *)
 }
 
+(* The protocol fields come from Argument.default_config and the field
+   from Argument.default_field, the defaults `zaatar run` uses too. Force
+   the Lagrange pipeline with --qap-backend lagrange (identical over either
+   127-bit prime: the Lagrange path never uses the 2-adic structure). *)
 let default_cfg =
+  let d = Argsys.Argument.default_config in
   {
-    (* The NTT-friendly 127-bit prime (2-adicity 62): same width as the
-       paper's Mersenne p127, but able to host the production NTT prover
-       path, so the default bench exercises it. Force the Mersenne field's
-       pipeline with --qap-backend lagrange (identical over either prime:
-       the Lagrange path never uses the 2-adic structure). *)
-    field = Primes.p127_ntt;
+    field = Argsys.Argument.default_field;
     scale = 1;
-    rho = 3;
-    rho_lin = 10;
-    p_bits = 512;
+    rho = d.params.rho;
+    rho_lin = d.params.rho_lin;
+    p_bits = d.p_bits;
     batch = 2;
     quick = false;
-    domains = 1;
-    qap_backend = Qapb.Auto;
+    domains = d.domains;
+    qap_backend = d.qap_backend;
   }
 
 let ctx_of cfg = Fp.create cfg.field
@@ -66,6 +66,16 @@ let ntt_domain_of cfg ctx ~nc =
   if pick then Some (Polylib.Ntt.next_pow2 nc) else None
 
 let protocol cfg = { Pcp.Pcp_zaatar.rho = cfg.rho; rho_lin = cfg.rho_lin }
+
+(* The honest-prover argument configuration [cfg] selects. *)
+let arg_config cfg =
+  {
+    Argsys.Argument.default_config with
+    params = protocol cfg;
+    p_bits = cfg.p_bits;
+    domains = cfg.domains;
+    qap_backend = cfg.qap_backend;
+  }
 let model_protocol cfg = { Costmodel.Model.rho = cfg.rho; rho_lin = cfg.rho_lin }
 
 let banner title =
@@ -142,15 +152,7 @@ let bench_run cfg (app : Apps.App_def.t) : bench_run =
       Array.init cfg.batch (fun _ ->
           Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs prg))
     in
-    let config =
-      {
-        Argsys.Argument.params = protocol cfg;
-        p_bits = cfg.p_bits;
-        strategy = Argsys.Argument.Honest;
-        domains = cfg.domains;
-        qap_backend = cfg.qap_backend;
-      }
-    in
+    let config = arg_config cfg in
     let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
     if not (Argsys.Argument.all_accepted result) then
       failwith (key ^ ": verification unexpectedly failed");
@@ -764,15 +766,7 @@ let run_baseline cfg =
       let ginger_model = (Costmodel.Model.ginger_prover p (model_protocol cfg) sizes).Costmodel.Model.total_p in
       (* Zaatar, measured on the same computation. *)
       let zcomp = Apps.Glue.computation_of compiled in
-      let zconfig =
-        {
-          Argsys.Argument.params = protocol cfg;
-          p_bits = cfg.p_bits;
-          strategy = Argsys.Argument.Honest;
-          domains = cfg.domains;
-          qap_backend = cfg.qap_backend;
-        }
-      in
+      let zconfig = arg_config cfg in
       let zres = Argsys.Argument.run_batch ~config:zconfig zcomp ~prg ~inputs:[| x |] in
       if not (Argsys.Argument.all_accepted zres) then failwith (label ^ ": zaatar run rejected");
       let zaatar_measured = Argsys.Metrics.total zres.Argsys.Argument.prover in
@@ -901,15 +895,7 @@ let run_ntt_vs_lagrange cfg =
                queries. *)
             Zobs.Ledger.reset ();
             let s0 = span_total span_name in
-            let config =
-              {
-                Argsys.Argument.params = protocol cfg;
-                p_bits = cfg.p_bits;
-                strategy = Argsys.Argument.Honest;
-                domains = cfg.domains;
-                qap_backend = backend;
-              }
-            in
+            let config = arg_config { cfg with qap_backend = backend } in
             let prg = Chacha.Prg.create ~seed:("nvl run " ^ app.Apps.App_def.name) () in
             let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
             let wall = span_total span_name -. s0 in
@@ -1294,15 +1280,7 @@ let run_wire cfg =
         Apps.Glue.field_inputs ctx
           [| Chacha.Prg.int_below prg 10000; Chacha.Prg.int_below prg 10000 |])
   in
-  let config =
-    {
-      Argsys.Argument.params = protocol cfg;
-      p_bits = cfg.p_bits;
-      strategy = Argsys.Argument.Honest;
-      domains = cfg.domains;
-      qap_backend = cfg.qap_backend;
-    }
-  in
+  let config = arg_config cfg in
   let snapshot () =
     let vals = Zobs.Registry.counter_values () in
     fun name -> match List.assoc_opt name vals with Some v -> v | None -> 0
@@ -1353,13 +1331,14 @@ let run_wire cfg =
   Printf.printf "\nsent and received bytes balance (%d B over %d message(s))\n%!" sent msgs
 
 (* ------------------------------------------------------------------ *)
-(* Farm: concurrent prover farm vs the sequential accept loop          *)
+(* Farm: concurrent sessions vs one session at a time                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Filled by run_farm and folded into BENCH_run.json under "farm".
    Sessions/sec and latency percentiles at N concurrent verifier clients
-   against (a) the pre-farm sequential accept loop, (b) the farm event
-   loop with the setup cache, (c) the farm with the cache disabled.
+   against (a) the farm serving one session at a time (--max-sessions 1,
+   setup cache off; the JSON keeps the seq_* key names), (b) the farm
+   with the setup cache, (c) the farm with the cache disabled.
 
    The clients are *replay* clients: one real verifier session is
    recorded (frames sent, replies received, verdict checked), then every
@@ -1367,9 +1346,9 @@ let run_wire cfg =
    frame to emulate off-box verifier compute, and asserts the prover's
    replies are byte-identical (the honest prover draws nothing from its
    PRG, so replies are a deterministic function of the received frames).
-   Identical clients hit both arms, so the comparison isolates the
-   server: the sequential loop is held hostage by each client's think
-   time, the event loop overlaps them. *)
+   Identical clients hit every arm, so the comparison isolates the
+   server: one session at a time is held hostage by each client's think
+   time, concurrent sessions overlap them. *)
 let farm_section : Zobs.Json.t ref = ref Zobs.Json.Null
 
 let record_session ~config comp ~prg ~inputs addr =
@@ -1411,155 +1390,103 @@ let replay_session ~think_s ~addr transcript =
       | Some r -> Bytes.equal r (Znet.recv conn))
     transcript
 
-let run_farm cfg =
-  banner "Farm: sessions/sec at concurrent verifier clients (event loop vs sequential accept)";
+(* Runs [f addr] against a farm in its own domain that serves
+   [max_conns] sessions, and returns once the farm loop has exited. *)
+let with_farm fc ~lookup ~max_conns f =
+  let prefix = "listening on " in
+  let k = String.length prefix in
+  let bound = Atomic.make None in
+  let log s =
+    if String.starts_with ~prefix s then
+      Atomic.set bound (Some (String.sub s k (String.length s - k)))
+  in
+  let server =
+    Domain.spawn (fun () -> Zfarm.Farm.serve ~config:fc ~lookup ~max_conns ~log "127.0.0.1:0")
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec addr () =
+    match Atomic.get bound with
+    | Some a -> a
+    | None ->
+      if Unix.gettimeofday () > deadline then failwith "farm: serve never bound";
+      Unix.sleepf 0.005;
+      addr ()
+  in
+  let r = f (addr ()) in
+  Domain.join server;
+  r
+
+(* The computation both farm experiments serve, its configuration and
+   lookup, and one real verifier session of it recorded against a
+   one-session farm. *)
+let sq3_session cfg ~seed =
   let ctx = ctx_of cfg in
   let compiled =
     Zlang.Compile.compile ~ctx
       "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
   in
   let comp = Apps.Glue.computation_of compiled in
-  let config =
-    {
-      Argsys.Argument.params = protocol cfg;
-      p_bits = cfg.p_bits;
-      strategy = Argsys.Argument.Honest;
-      domains = cfg.domains;
-      qap_backend = cfg.qap_backend;
-    }
-  in
+  let config = arg_config cfg in
   let lookup =
     let d = Argsys.Argument.digest comp in
     fun d' -> if String.equal d' d then Some comp else None
   in
+  let transcript =
+    with_farm { Zfarm.Farm.default with arg_config = config } ~lookup ~max_conns:1
+      (record_session ~config comp ~prg:(Chacha.Prg.create ~seed ())
+         ~inputs:[| Apps.Glue.field_inputs ctx [| 7; 11 |] |])
+  in
+  (config, lookup, transcript)
+
+(* A replayed fleet of [clients] concurrent sessions: wall seconds, and
+   whether every reply matched the recording. *)
+let replay_fleet ~clients ~think_s ~addr transcript =
+  let t0 = Unix.gettimeofday () in
+  let doms =
+    Array.init clients (fun _ -> Domain.spawn (fun () -> replay_session ~think_s ~addr transcript))
+  in
+  let ok = Array.for_all Domain.join doms in
+  (Unix.gettimeofday () -. t0, ok)
+
+let run_farm cfg =
+  banner "Farm: sessions/sec at concurrent verifier clients (concurrent vs one at a time)";
+  let config, lookup, transcript = sq3_session cfg ~seed:"bench farm verifier" in
   let clients = 8 in
   let think_ms = if cfg.quick then 25 else 60 in
   let think_s = float_of_int think_ms /. 1000.0 in
-  let inputs = [| Apps.Glue.field_inputs ctx [| 7; 11 |] |] in
-  (* Record the reference session against a throwaway one-shot server. *)
-  let transcript =
-    let srv = Znet.listen "127.0.0.1:0" in
-    let addr = Znet.bound_addr srv in
-    let server =
-      Domain.spawn (fun () ->
-          let c = Znet.accept srv in
-          (try
-             Argsys.Remote.handle_conn ~config ~lookup
-               ~prg:(Chacha.Prg.create ~seed:"bench farm record prover" ())
-               c
-           with _ -> ());
-          try Znet.close c with _ -> ())
-    in
-    let t =
-      record_session ~config comp
-        ~prg:(Chacha.Prg.create ~seed:"bench farm verifier" ())
-        ~inputs addr
-    in
-    Domain.join server;
-    Znet.close_server srv;
-    t
-  in
   let frames = List.length transcript in
   Printf.printf
     "%d concurrent same-digest clients, %d frame(s)/session, %d ms think before each frame\n\n"
     clients frames think_ms;
-  let run_clients addr =
-    let t0 = Unix.gettimeofday () in
-    let doms =
-      Array.init clients (fun _ -> Domain.spawn (fun () -> replay_session ~think_s ~addr transcript))
-    in
-    let ok = Array.for_all (fun d -> Domain.join d) doms in
-    (Unix.gettimeofday () -. t0, ok)
-  in
-  (* Arm 1: the pre-farm behavior — accept, serve to completion, repeat. *)
-  let seq_wall, seq_ok =
-    let srv = Znet.listen ~backlog:(clients + 4) "127.0.0.1:0" in
-    let addr = Znet.bound_addr srv in
-    let server =
-      Domain.spawn (fun () ->
-          for i = 1 to clients do
-            let c = Znet.accept srv in
-            (try
-               Argsys.Remote.handle_conn ~config ~lookup
-                 ~prg:(Chacha.Prg.create ~seed:(Printf.sprintf "bench farm seq %d" i) ())
-                 c
-             with _ -> ());
-            try Znet.close c with _ -> ()
-          done)
-    in
-    let r = run_clients addr in
-    Domain.join server;
-    Znet.close_server srv;
-    r
-  in
-  (* Arms 2 and 3: the farm event loop, with and without the setup cache. *)
-  let farm_arm ~cache_bytes =
+  let farm_arm ~max_sessions ~cache_bytes =
     Znet.Svcstats.reset ();
     let fc =
-      {
-        Zfarm.Farm.default with
-        arg_config = config;
-        max_sessions = clients + 2;
-        setup_cache_bytes = cache_bytes;
-      }
+      { Zfarm.Farm.default with arg_config = config; max_sessions; setup_cache_bytes = cache_bytes }
     in
-    let mu = Mutex.create () in
-    let lines = ref [] in
-    let log s =
-      Mutex.lock mu;
-      lines := s :: !lines;
-      Mutex.unlock mu
+    let wall, ok =
+      with_farm fc ~lookup ~max_conns:clients (fun addr ->
+          replay_fleet ~clients ~think_s ~addr transcript)
     in
-    let server =
-      Domain.spawn (fun () ->
-          Zfarm.Farm.serve ~config:fc ~lookup ~max_conns:clients ~log "127.0.0.1:0")
-    in
-    let addr =
-      let prefix = "listening on " in
-      let k = String.length prefix in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec poll () =
-        let hit =
-          Mutex.lock mu;
-          let r =
-            List.find_map
-              (fun l ->
-                if String.length l > k && String.sub l 0 k = prefix then
-                  Some (String.sub l k (String.length l - k))
-                else None)
-              !lines
-          in
-          Mutex.unlock mu;
-          r
-        in
-        match hit with
-        | Some a -> a
-        | None ->
-          if Unix.gettimeofday () > deadline then failwith "farm: serve never bound";
-          Unix.sleepf 0.005;
-          poll ()
-      in
-      poll ()
-    in
-    let wall, ok = run_clients addr in
-    Domain.join server;
     let _, hits, misses, _ = Znet.Svcstats.farm_totals () in
-    let lat = Znet.Svcstats.latency_ms () in
-    (wall, ok, hits, misses, lat)
+    (wall, ok, hits, misses, Znet.Svcstats.latency_ms ())
   in
+  (* Arm 1: one session at a time — accept, serve to completion, repeat. *)
+  let seq_wall, seq_ok, _, _, _ = farm_arm ~max_sessions:1 ~cache_bytes:0 in
+  (* Arms 2 and 3: concurrent sessions, with and without the setup cache. *)
   let built_before = Zobs.Registry.counter_value "farm.setup.built" in
   let farm_wall, farm_ok, hits, misses, (p50, p95, p99) =
-    farm_arm ~cache_bytes:Zfarm.Farm.default.Zfarm.Farm.setup_cache_bytes
+    farm_arm ~max_sessions:(clients + 2)
+      ~cache_bytes:Zfarm.Farm.default.Zfarm.Farm.setup_cache_bytes
   in
   let warm_builds = Zobs.Registry.counter_value "farm.setup.built" - built_before - 1 in
-  let nocache_wall, nocache_ok, _, _, _ = farm_arm ~cache_bytes:0 in
+  let nocache_wall, nocache_ok, _, _, _ = farm_arm ~max_sessions:(clients + 2) ~cache_bytes:0 in
   let per_s w = float_of_int clients /. w in
   let speedup = seq_wall /. farm_wall in
   Printf.printf "%-28s %10s %14s\n" "server" "wall s" "sessions/s";
-  Printf.printf "%-28s %10.3f %14.2f\n" "sequential accept loop" seq_wall (per_s seq_wall);
+  Printf.printf "%-28s %10.3f %14.2f\n" "farm, --max-sessions 1" seq_wall (per_s seq_wall);
   Printf.printf "%-28s %10.3f %14.2f\n" "farm (setup cache)" farm_wall (per_s farm_wall);
   Printf.printf "%-28s %10.3f %14.2f\n\n" "farm (cache disabled)" nocache_wall (per_s nocache_wall);
-  Printf.printf "speedup vs sequential: %.2fx (acceptance floor 4x)\n" speedup;
+  Printf.printf "speedup vs one session at a time: %.2fx (acceptance floor 4x)\n" speedup;
   Printf.printf "setup cache: %d hit(s), %d miss(es); warm-session QAP constructions: %d\n" hits
     misses warm_builds;
   Printf.printf "session latency ms (farm, cached): p50 %.1f  p95 %.1f  p99 %.1f\n%!" p50 p95 p99;
@@ -1611,63 +1538,13 @@ let obs_overhead_band = 1.03
 
 let run_obs_overhead cfg =
   banner "Zscope overhead: farm sessions/sec, flight recorder + sampler on vs off";
-  let ctx = ctx_of cfg in
-  let compiled =
-    Zlang.Compile.compile ~ctx
-      "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
-  in
-  let comp = Apps.Glue.computation_of compiled in
-  let config =
-    {
-      Argsys.Argument.params = protocol cfg;
-      p_bits = cfg.p_bits;
-      strategy = Argsys.Argument.Honest;
-      domains = cfg.domains;
-      qap_backend = cfg.qap_backend;
-    }
-  in
-  let lookup =
-    let d = Argsys.Argument.digest comp in
-    fun d' -> if String.equal d' d then Some comp else None
-  in
+  let config, lookup, transcript = sq3_session cfg ~seed:"bench obs verifier" in
   let clients = 8 in
   let rounds = if cfg.quick then 2 else 3 in
-  let inputs = [| Apps.Glue.field_inputs ctx [| 7; 11 |] |] in
-  let transcript =
-    let srv = Znet.listen "127.0.0.1:0" in
-    let addr = Znet.bound_addr srv in
-    let server =
-      Domain.spawn (fun () ->
-          let c = Znet.accept srv in
-          (try
-             Argsys.Remote.handle_conn ~config ~lookup
-               ~prg:(Chacha.Prg.create ~seed:"bench obs record prover" ())
-               c
-           with _ -> ());
-          try Znet.close c with _ -> ())
-    in
-    let t =
-      record_session ~config comp
-        ~prg:(Chacha.Prg.create ~seed:"bench obs verifier" ())
-        ~inputs addr
-    in
-    Domain.join server;
-    Znet.close_server srv;
-    t
-  in
   (* No think time: the comparison is server-bound on purpose, so any
      recorder/sampler cost lands squarely in the measured wall. One arm
      run = [clients] replayed sessions; best-of-[rounds] walls filter
      scheduler noise. *)
-  let run_clients addr =
-    let t0 = Unix.gettimeofday () in
-    let doms =
-      Array.init clients (fun _ ->
-          Domain.spawn (fun () -> replay_session ~think_s:0.0 ~addr transcript))
-    in
-    let ok = Array.for_all (fun d -> Domain.join d) doms in
-    (Unix.gettimeofday () -. t0, ok)
-  in
   let arm ~flight_cap ~profile_hz =
     let best = ref infinity and all_ok = ref true in
     for _ = 1 to rounds do
@@ -1681,46 +1558,10 @@ let run_obs_overhead cfg =
           profile_hz;
         }
       in
-      let mu = Mutex.create () in
-      let lines = ref [] in
-      let log s =
-        Mutex.lock mu;
-        lines := s :: !lines;
-        Mutex.unlock mu
+      let wall, ok =
+        with_farm fc ~lookup ~max_conns:clients (fun addr ->
+            replay_fleet ~clients ~think_s:0.0 ~addr transcript)
       in
-      let server =
-        Domain.spawn (fun () ->
-            Zfarm.Farm.serve ~config:fc ~lookup ~max_conns:clients ~log "127.0.0.1:0")
-      in
-      let addr =
-        let prefix = "listening on " in
-        let k = String.length prefix in
-        let deadline = Unix.gettimeofday () +. 10.0 in
-        let rec poll () =
-          let hit =
-            Mutex.lock mu;
-            let r =
-              List.find_map
-                (fun l ->
-                  if String.length l > k && String.sub l 0 k = prefix then
-                    Some (String.sub l k (String.length l - k))
-                  else None)
-                !lines
-            in
-            Mutex.unlock mu;
-            r
-          in
-          match hit with
-          | Some a -> a
-          | None ->
-            if Unix.gettimeofday () > deadline then failwith "obs-overhead: serve never bound";
-            Unix.sleepf 0.005;
-            poll ()
-        in
-        poll ()
-      in
-      let wall, ok = run_clients addr in
-      Domain.join server;
       all_ok := !all_ok && ok;
       if wall < !best then best := wall
     done;
@@ -2072,15 +1913,7 @@ let run_profile cfg =
     Array.init cfg.batch (fun _ ->
         Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs prg))
   in
-  let config =
-    {
-      Argsys.Argument.params = protocol cfg;
-      p_bits = cfg.p_bits;
-      strategy = Argsys.Argument.Honest;
-      domains = cfg.domains;
-      qap_backend = cfg.qap_backend;
-    }
-  in
+  let config = arg_config cfg in
   let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
   if not (Argsys.Argument.all_accepted result) then begin
     Printf.eprintf "profile: the audit batch was REJECTED\n";
@@ -2267,7 +2100,7 @@ let baseline_diff ~drift path cfg =
   (* Farm: client count, frames/session, cache hit/miss counts, the
      warm-session construction count (must stay 0) and transcript
      identity are deterministic and compared exactly; the speedup over
-     the sequential loop is wall-clock and held to the drift band. *)
+     one session at a time is wall-clock and held to the drift band. *)
   (match (Zobs.Json.member "farm" base, !farm_section) with
   | None, Zobs.Json.Null -> err "neither run has a farm section (run the farm experiment)"
   | None, _ -> err "%s has no farm section — refresh the baseline" path
@@ -2714,7 +2547,8 @@ let () =
       cfg := { !cfg with p_bits = pos_int "--pbits" v };
       parse rest
     | "--paper-params" :: rest ->
-      cfg := { !cfg with rho = 8; rho_lin = 20; p_bits = 1024 };
+      let pp = Pcp.Pcp_zaatar.paper_params in
+      cfg := { !cfg with rho = pp.rho; rho_lin = pp.rho_lin; p_bits = 1024 };
       parse rest
     | "--quick" :: rest ->
       cfg := { !cfg with quick = true };

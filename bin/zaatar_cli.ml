@@ -30,26 +30,15 @@ let read_file path =
   close_in ic;
   s
 
-let field_of_bits = function
-  | 61 -> Primes.p61
-  | 89 -> Primes.p89
-  | 127 -> Primes.p127
-  | 128 -> Primes.p128 ()
-  | 192 -> Primes.p192 ()
-  | 220 -> Primes.p220 ()
-  | bits -> Primes.first_prime_with_bits bits
-
-(* The default 127-bit field is the Mersenne prime: 2-adicity 1, so it
-   cannot host an NTT domain. When the NTT backend is forced at that
-   width, substitute the NTT-friendly 127-bit prime instead of failing
-   the viability check at session setup. *)
 let field_for_config bits (config : Argsys.Argument.config) =
-  if bits = 127 && config.Argsys.Argument.qap_backend = Qapb.Ntt then Primes.p127_ntt
-  else field_of_bits bits
+  Argsys.Argument.field_of_bits ~backend:config.Argsys.Argument.qap_backend bits
 
 let field_bits_arg =
-  let doc = "Field modulus size in bits (61, 127, 128, 192, 220, ...)." in
-  Arg.(value & opt int 127 & info [ "field-bits" ] ~doc)
+  let doc =
+    "Field modulus size in bits (61, 127, 128, 192, 220, ...). 127 names the NTT-friendly \
+     127-bit prime, or the paper's Mersenne 2^127-1 under --qap-backend lagrange."
+  in
+  Arg.(value & opt int (Nat.num_bits Argsys.Argument.default_field) & info [ "field-bits" ] ~doc)
 
 (* Argument validation: bad values are rejected by cmdliner with a usage
    error instead of surfacing later as a crash mid-protocol. *)
@@ -84,7 +73,7 @@ let timeout_arg =
     value
     & opt pos_int_conv 30000
     & info [ "timeout-ms" ]
-        ~doc:"Socket connect/read/write timeout in milliseconds (with --listen/--connect).")
+        ~doc:"Socket connect/read/write timeout in milliseconds (with --connect).")
 
 let print_stats (c : Zlang.Compile.compiled) =
   let s = Zlang.Compile.stats c in
@@ -102,7 +91,7 @@ let compile_cmd =
     Arg.(value & opt (some string) None & info [ "emit" ] ~docv:"OUT.r1cs" ~doc:"Write the quadratic-form constraint system to a file.")
   in
   let run file bits emit =
-    let ctx = Fp.create (field_of_bits bits) in
+    let ctx = Fp.create (Argsys.Argument.field_of_bits bits) in
     let compiled = Zlang.Compile.compile ~ctx (read_file file) in
     print_stats compiled;
     match emit with
@@ -148,7 +137,7 @@ let lint_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Report at most N findings per diagnostic code.")
   in
   let run files format unroll_budget limit bits =
-    let ctx = Fp.create (field_of_bits bits) in
+    let ctx = Fp.create (Argsys.Argument.field_of_bits bits) in
     let cfg = { Zlint.Frontend.unroll_budget } in
     let lint_one file =
       if Filename.check_suffix file ".zl" then
@@ -219,34 +208,33 @@ let profile_flag =
         ~doc:"Enable the op ledger and print per-phase Figure-3 op counts and GC deltas \
               after the run (see `zaatar profile` for the model audit).")
 
+(* Defaults come from Argument.default_config; the paper's parameters are
+   --rho 8 --rho-lin 20 --pbits 1024 --qap-backend lagrange. *)
 let protocol_args =
-  let rho = Arg.(value & opt pos_int_conv 2 & info [ "rho" ] ~doc:"PCP repetitions (paper: 8).") in
-  let rho_lin = Arg.(value & opt pos_int_conv 5 & info [ "rho-lin" ] ~doc:"Linearity-test iterations (paper: 20).") in
-  let pbits = Arg.(value & opt pos_int_conv 256 & info [ "pbits" ] ~doc:"ElGamal group size in bits (paper: 1024).") in
+  let d = Argsys.Argument.default_config in
+  let int_opt name default doc = Arg.(value & opt pos_int_conv default & info [ name ] ~doc) in
+  let rho = int_opt "rho" d.params.rho "PCP repetitions (paper: 8)." in
+  let rho_lin = int_opt "rho-lin" d.params.rho_lin "Linearity-test iterations (paper: 20)." in
+  let pbits = int_opt "pbits" d.p_bits "ElGamal group size in bits (paper: 1024)." in
   let domains =
-    Arg.(value & opt pos_int_conv 1 & info [ "domains" ] ~doc:"Domains for the parallel commitment pipeline (transcripts are domain-count independent).")
+    int_opt "domains" d.domains
+      "Domains for the parallel commitment pipeline (transcripts are domain-count independent)."
   in
   let qap_backend =
     Arg.(
       value
-      & opt backend_conv Qapb.Auto
+      & opt backend_conv d.qap_backend
       & info [ "qap-backend" ]
           ~doc:"QAP prover backend: $(b,auto) picks the NTT pipeline when the field's \
                 2-adicity covers the constraint count and falls back to the paper's \
                 Lagrange pipeline otherwise; $(b,ntt) and $(b,lagrange) force one. \
                 Prover and verifier must agree (the backends are distinct proof \
-                systems). Forcing ntt at --field-bits 127 substitutes the NTT-friendly \
-                127-bit prime for the default Mersenne field.")
+                systems). $(b,lagrange) at --field-bits 127 also selects the paper's \
+                Mersenne prime 2^127-1.")
   in
   Term.(
-    const (fun rho rho_lin pbits domains qap_backend ->
-        {
-          Argsys.Argument.params = { Pcp.Pcp_zaatar.rho; rho_lin };
-          p_bits = pbits;
-          strategy = Argsys.Argument.Honest;
-          domains;
-          qap_backend;
-        })
+    const (fun rho rho_lin p_bits domains qap_backend ->
+        { d with params = { Pcp.Pcp_zaatar.rho; rho_lin }; p_bits; domains; qap_backend })
     $ rho $ rho_lin $ pbits $ domains $ qap_backend)
 
 let report_batch ctx (result : Argsys.Argument.batch_result) =
@@ -538,9 +526,8 @@ let serve_cmd =
       & opt (some dir) None
       & info [ "trace-dir" ] ~docv:"DIR"
           ~doc:"Write one Chrome-trace sidecar per connection (prover_connN.json), mergeable \
-                with `zaatar trace-merge`. The farm's flight recorder feeds these (plus \
-                forensic_connN.jsonl bundles on error/slow sessions); the --sequential loop \
-                needs tracing enabled (--trace/--metrics/ZAATAR_TRACE).")
+                with `zaatar trace-merge`. The per-session flight recorder feeds these \
+                (plus forensic_connN.jsonl bundles on error/slow sessions).")
   in
   let log_json =
     Arg.(
@@ -581,19 +568,12 @@ let serve_cmd =
           ~doc:"Byte bound of the per-digest setup cache (compiled QAP, subproduct trees, \
                 twiddle plans, LRU-evicted). 0 disables the cache.")
   in
-  let sequential =
-    Arg.(
-      value & flag
-      & info [ "sequential" ]
-          ~doc:"Use the one-connection-at-a-time reference loop instead of the concurrent \
-                farm.")
-  in
   let slow_session_ms =
     Arg.(
       value
       & opt int Zfarm.Farm.default.Zfarm.Farm.slow_session_ms
       & info [ "slow-session-ms" ] ~docv:"MS"
-          ~doc:"Farm sessions lasting at least this long dump a JSONL forensic bundle to \
+          ~doc:"Sessions lasting at least this long dump a JSONL forensic bundle to \
                 --trace-dir (0, the default, disables the slow-session trigger; errored \
                 sessions always dump).")
   in
@@ -622,8 +602,8 @@ let serve_cmd =
                 --live` (0 disables the sampler).")
   in
   let run files listen once metrics_listen trace_dir log_json max_sessions accept_queue
-      session_timeout_ms setup_cache_mb sequential slow_session_ms recent_cap flight_cap
-      profile_hz timeout_ms bits config obs =
+      session_timeout_ms setup_cache_mb slow_session_ms recent_cap flight_cap profile_hz bits
+      config obs =
     with_obs ~process:"prover" obs @@ fun () ->
     (match log_json with
     | Some "stderr" -> Zobs.Log.set_sink (`Channel stderr)
@@ -642,39 +622,33 @@ let serve_cmd =
       files;
     let log s = Printf.printf "%s\n%!" s in
     Znet.Svcstats.set_recent_cap recent_cap;
-    if sequential then
-      Argsys.Remote.serve ~config ~lookup:(Hashtbl.find_opt table) ~once ~timeout_ms
-        ?metrics_listen ?trace_dir ~log listen
-    else begin
-      let fconfig =
-        {
-          Zfarm.Farm.arg_config = config;
-          max_sessions;
-          accept_queue;
-          session_timeout_ms;
-          setup_cache_bytes = setup_cache_mb * 1024 * 1024;
-          busy_retry_ms = Zfarm.Farm.default.Zfarm.Farm.busy_retry_ms;
-          trace_dir;
-          slow_session_ms;
-          flight_cap;
-          profile_hz;
-        }
-      in
-      Zfarm.Farm.serve ~config:fconfig ~lookup:(Hashtbl.find_opt table)
-        ?max_conns:(if once then Some 1 else None)
-        ?metrics_listen ~log listen
-    end;
+    let fconfig =
+      {
+        Zfarm.Farm.default with
+        arg_config = config;
+        max_sessions;
+        accept_queue;
+        session_timeout_ms;
+        setup_cache_bytes = setup_cache_mb * 1024 * 1024;
+        trace_dir;
+        slow_session_ms;
+        flight_cap;
+        profile_hz;
+      }
+    in
+    Zfarm.Farm.serve ~config:fconfig ~lookup:(Hashtbl.find_opt table)
+      ?max_conns:(if once then Some 1 else None)
+      ?metrics_listen ~log listen;
     0
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run a networked prover: accept verifier connections concurrently and prove \
-             batches on demand (see --sequential for the reference loop)")
+             batches on demand")
     Term.(
       const run $ files $ listen $ once $ metrics_listen $ trace_dir $ log_json $ max_sessions
-      $ accept_queue $ session_timeout_ms $ setup_cache_mb $ sequential $ slow_session_ms
-      $ recent_cap $ flight_cap $ profile_hz $ timeout_arg $ field_bits_arg $ protocol_args
-      $ obs_args)
+      $ accept_queue $ session_timeout_ms $ setup_cache_mb $ slow_session_ms $ recent_cap
+      $ flight_cap $ profile_hz $ field_bits_arg $ protocol_args $ obs_args)
 
 (* JSON field accessors shared by `zaatar stats` and `zaatar top`. *)
 let jnum j k =
@@ -897,7 +871,7 @@ let bench_cmd =
 
 let selftest_cmd =
   let run bits =
-    let ctx = Fp.create (field_of_bits bits) in
+    let ctx = Fp.create (Argsys.Argument.field_of_bits bits) in
     let prg = Chacha.Prg.create ~seed:"selftest" () in
     List.iter
       (fun (app : Apps.App_def.t) ->
@@ -960,7 +934,7 @@ let exec_cmd =
     Arg.(value & opt (some pos_int_conv) None & info [ "scale" ] ~docv:"N" ~doc:"Problem size for --check (apps' default otherwise).")
   in
   let run_check bits trials scale =
-    let ctx = Fp.create (field_of_bits bits) in
+    let ctx = Fp.create (Argsys.Argument.field_of_bits bits) in
     let prg = Chacha.Prg.create ~seed:"exec-check" () in
     let failed = ref false in
     List.iter
@@ -1086,7 +1060,7 @@ let fuzz_cmd =
           ~doc:"Run every K-th program through the full argument pipeline (0 disables).")
   in
   let run bits seed count shrink break_transform fixture verdict_every =
-    let ctx = Fp.create (field_of_bits bits) in
+    let ctx = Fp.create (Argsys.Argument.field_of_bits bits) in
     if break_transform then begin
       match Zfuzz.Fuzz.break_transform ~ctx ~seed ~count () with
       | None ->
@@ -1145,10 +1119,15 @@ let fuzz_cmd =
       $ verdict_every)
 
 let micro_cmd =
-  let pbits = Arg.(value & opt int 512 & info [ "pbits" ] ~doc:"ElGamal group size in bits.") in
+  let pbits =
+    Arg.(
+      value
+      & opt int Argsys.Argument.default_config.p_bits
+      & info [ "pbits" ] ~doc:"ElGamal group size in bits.")
+  in
   let iters = Arg.(value & opt int 1000 & info [ "iters" ] ~doc:"Iterations per operation.") in
   let run bits pbits iters =
-    let field = field_of_bits bits in
+    let field = Argsys.Argument.field_of_bits bits in
     let ctx = Fp.create field in
     let grp = Zcrypto.Group.cached ~field_order:field ~p_bits:pbits () in
     let m = Costmodel.Params.measure ~iters ctx grp in

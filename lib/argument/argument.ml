@@ -61,9 +61,29 @@ type config = {
   qap_backend : Qapb.backend; (* Auto picks NTT iff the field's 2-adicity allows *)
 }
 
+(* The one default configuration: what `zaatar run`/`serve`, the bench
+   and the farm use unless told otherwise. The paper's parameters
+   (Pcp_zaatar.paper_params, 1024-bit group, Mersenne p127 with the
+   Lagrange QAP) stay reachable through explicit flags. *)
 let default_config =
-  { params = Pcp.Pcp_zaatar.paper_params; p_bits = 1024; strategy = Honest; domains = 1;
-    qap_backend = Qapb.Auto }
+  { params = { Pcp.Pcp_zaatar.rho = 3; rho_lin = 10 }; p_bits = 512; strategy = Honest;
+    domains = 1; qap_backend = Qapb.Auto }
+
+(* Same width as the paper's Mersenne p127, but with 2-adicity 62, so it
+   hosts the NTT prover path. *)
+let default_field = Primes.p127_ntt
+
+let field_of_bits ?(backend = default_config.qap_backend) bits =
+  if bits = Nat.num_bits default_field && backend <> Qapb.Lagrange then default_field
+  else
+    match bits with
+    | 61 -> Primes.p61
+    | 89 -> Primes.p89
+    | 127 -> Primes.p127
+    | 128 -> Primes.p128 ()
+    | 192 -> Primes.p192 ()
+    | 220 -> Primes.p220 ()
+    | bits -> Primes.first_prime_with_bits bits
 
 let test_config =
   { params = Pcp.Pcp_zaatar.test_params; p_bits = 192; strategy = Honest; domains = 1;

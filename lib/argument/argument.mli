@@ -61,8 +61,19 @@ type config = {
 }
 
 val default_config : config
-(** Paper parameters: rho = 8, rho_lin = 20, 1024-bit group, 1 domain,
-    [Auto] backend. *)
+(** The single default, shared by the CLI, the bench and the farm:
+    rho = 3, rho_lin = 10, 512-bit group, 1 domain, [Auto] backend. The
+    paper's rho = 8, rho_lin = 20 ({!Pcp.Pcp_zaatar.paper_params}) and
+    1024-bit group are explicit choices. *)
+
+val default_field : Nat.t
+(** {!Primes.p127_ntt}: the 127-bit default field, NTT-friendly. *)
+
+val field_of_bits : ?backend:Qapb.backend -> int -> Nat.t
+(** The field a [--field-bits] width names. At 127 bits that is
+    {!default_field} unless [backend] (default: [default_config]'s) is
+    [Lagrange], which keeps the paper's Mersenne {!Primes.p127}; other
+    widths map to their named prime, else the first prime of that width. *)
 
 val test_config : config
 (** rho = 1, rho_lin = 2, 192-bit group, 1 domain: for unit tests. *)

@@ -1,13 +1,10 @@
-(** Socket drivers for the split verifier/prover argument: the
-    {!Argument.Verifier_session}/{!Argument.Prover_session} state machines
-    pumped over a {!Znet} connection (DESIGN.md §9). The CLI's
-    [zaatar serve] / [zaatar run --connect] are thin wrappers.
+(** The verifier-side socket driver for the split verifier/prover argument:
+    the {!Argument.Verifier_session} state machine pumped over a {!Znet}
+    connection (DESIGN.md §9). [zaatar run --connect] is a thin wrapper;
+    the prover side is the farm ([Zfarm.Farm.serve], DESIGN.md §14).
 
     Wire operations run under [net.send]/[net.recv] Zobs spans and feed
-    per-phase [wire.latency_us.<phase>] histograms; the serve path keeps
-    always-on per-connection {!Znet.Svcstats}, optionally exposes them over
-    a live HTTP metrics endpoint, and can write one prover-side
-    Chrome-trace sidecar per connection (DESIGN.md §10). *)
+    per-phase [wire.latency_us.<phase>] histograms. *)
 
 open Fieldlib
 
@@ -19,10 +16,10 @@ val run_conn :
   inputs:Fp.el array array ->
   Znet.conn ->
   Argument.batch_result
-(** Drive a verifier session over an existing connection (tests use this
-    with a socketpair). The prover-side metrics in the result are empty —
-    they live in the remote process. [trace_id] is carried to the prover
-    in the Hello (see {!Argument.Verifier_session.create}). *)
+(** Drive a verifier session over an existing connection. The prover-side
+    metrics in the result are empty — they live in the remote process.
+    [trace_id] is carried to the prover in the Hello (see
+    {!Argument.Verifier_session.create}). *)
 
 val run_connect :
   ?config:Argument.config ->
@@ -37,59 +34,3 @@ val run_connect :
     is closed on all paths. Raises [Znet.Net_error] on transport failure
     and {!Argument.Session_error} on protocol violations (including an
     [Error_msg] from the prover). *)
-
-val handle_conn :
-  ?config:Argument.config ->
-  ?stats:Znet.Svcstats.conn ->
-  lookup:(string -> Argument.computation option) ->
-  prg:Chacha.Prg.t ->
-  Znet.conn ->
-  unit
-(** Serve one prover session to completion on an existing connection.
-    Malformed input and protocol violations are reported to the peer as an
-    [Error_msg], then re-raised as {!Argument.Session_error}. [stats]
-    receives per-phase bytes, message counts and wall time. *)
-
-(** {1 Metrics endpoint} *)
-
-val metrics_render : unit -> string
-(** Prometheus text exposition: per-connection Svcstats series followed by
-    every global Zobs counter/histogram/span aggregate. *)
-
-val metrics_json : unit -> string
-(** JSON snapshot of the server + per-connection Svcstats. *)
-
-val start_metrics :
-  ?ready:(unit -> bool) -> ?profile:(unit -> string) -> string -> Znet.Metrics_http.t
-(** Start the metrics HTTP server on ["HOST:PORT"] (port 0 picks an
-    ephemeral port — read it back with {!Znet.Metrics_http.bound_addr}).
-    Serves [/metrics] (Prometheus text, also at [/]), [/json], [/healthz]
-    (readiness: 200 ["ok"] while [ready] — default always — holds, 503
-    otherwise) and [/profile] (folded stacks: the live sampling profiler's
-    when the server passes [profile], else the completed-span folding). *)
-
-type log = string -> unit
-
-val serve :
-  ?config:Argument.config ->
-  lookup:(string -> Argument.computation option) ->
-  ?seed:string ->
-  ?once:bool ->
-  ?timeout_ms:int ->
-  ?metrics_listen:string ->
-  ?trace_dir:string ->
-  ?log:log ->
-  string ->
-  unit
-(** Accept loop: bind ["HOST:PORT"] (port 0 picks an ephemeral port), log
-    ["listening on HOST:PORT"], and serve connections sequentially — one
-    prover session each, with a fresh per-connection PRG derived from
-    [seed]. [once] stops after the first connection (CI); [timeout_ms]
-    bounds per-connection reads and writes. Session and connection errors
-    are logged, not fatal to the loop.
-
-    [metrics_listen] starts {!start_metrics} alongside the accept loop
-    (logged as ["metrics on HOST:PORT"]). [trace_dir], when tracing is
-    enabled, writes [prover_connN.json] — a Chrome-trace sidecar of just
-    connection N's spans, stamped [pid 1]/["prover"] and with the
-    verifier's trace id, ready for [zaatar trace-merge]. *)

@@ -24,7 +24,6 @@ type system = {
 val qpoly_zero : qpoly
 val qpoly_add : Fp.ctx -> qpoly -> qpoly -> qpoly
 val qpoly_scale : Fp.ctx -> Fp.el -> qpoly -> qpoly
-val qpoly_neg : Fp.ctx -> qpoly -> qpoly
 val qpoly_sub : Fp.ctx -> qpoly -> qpoly -> qpoly
 val qpoly_of_lincomb : Lincomb.t -> qpoly
 val qpoly_is_linear : qpoly -> bool

@@ -62,10 +62,3 @@ let constr_vars { a; b; c } =
    trivial or unsatisfiable depending on the constants). *)
 let constr_is_trivial { a; b; c } =
   Lincomb.is_zero c && (Lincomb.is_zero a || Lincomb.is_zero b)
-
-(* Total non-zero coefficients, the K + 3K2 bound of §A.3. *)
-let num_nonzero sys =
-  Array.fold_left
-    (fun acc { a; b; c } ->
-      acc + Lincomb.num_terms a + Lincomb.num_terms b + Lincomb.num_terms c)
-    0 sys.constraints

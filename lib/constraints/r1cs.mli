@@ -40,6 +40,3 @@ val constr_is_trivial : constr -> bool
 (** [true] when [A*B - C] is syntactically zero (all-zero row, or zero [A]
     or [B] with zero [C]): the row constrains nothing. *)
 
-val num_nonzero : system -> int
-(** Total non-zero coefficients — the K + 3K2 bound of §A.3 that governs
-    the verifier's query-construction cost. *)

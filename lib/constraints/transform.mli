@@ -20,10 +20,6 @@ type t = {
 
 val apply : Quad.system -> t
 
-val linear_rows : t -> int
-(** Number of remapped original constraints; they occupy rows
-    [0 .. linear_rows - 1] of the R1CS, the product definitions the rest. *)
-
 val product_rows : t -> (int * (int * int)) list
 (** [(row, (i, j))] for every product-definition row [z_i * z_j = m]:
     the Zlint backend's hook for auditing the K2 dedup accounting. *)

@@ -46,7 +46,6 @@ type verifier_costs = {
   process_per_instance : float;
 }
 
-val zaatar_verifier : Params.t -> protocol_params -> sizes -> verifier_costs
 val ginger_verifier : Params.t -> protocol_params -> sizes -> verifier_costs
 
 val breakeven : verifier_costs -> t_local:float -> int option

@@ -48,8 +48,6 @@ val encode : public_key -> Fp.el -> Group.element
 
 val hom_add : public_key -> ciphertext -> ciphertext -> ciphertext
 val hom_scale : public_key -> ciphertext -> Fp.el -> ciphertext
-val hom_zero : public_key -> ciphertext
-
 val hom_dot : public_key -> ciphertext array -> Fp.el array -> ciphertext
 (** Skips zero coefficients, folds unit coefficients in with bare
     homomorphic adds, and serves the rest with Pippenger {!Group.multi_pow}

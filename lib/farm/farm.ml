@@ -1,9 +1,9 @@
 (* Zfarm: the concurrent multi-tenant prover farm behind `zaatar serve`
    (DESIGN.md §14).
 
-   The sequential loop in Remote.serve holds every later verifier hostage
-   to the current one: a peer that thinks for a second between messages
-   costs the whole service a second. Here one event loop multiplexes many
+   A loop that serves one connection at a time holds every later verifier
+   hostage to the current one: a peer that thinks for a second between
+   messages costs the whole service a second. Here one event loop multiplexes many
    in-flight Prover_session state machines over select/nonblocking
    sockets — a session only occupies the CPU while a complete frame of its
    is being processed — and ready frames are grouped by computation digest
@@ -77,6 +77,28 @@ let c_setup_built = Zobs.Counter.make "farm.setup.built"
 let h_session_ms = Zobs.Histogram.make "farm.session_ms"
 
 (* ------------------------------------------------------------------ *)
+(* Metrics endpoint                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let metrics_render () = Zobs.Prometheus.render ~extra:(Znet.Svcstats.prometheus ()) ()
+let metrics_json () = Zobs.Json.to_string (Znet.Svcstats.json ())
+
+(* Routes: /metrics (Prometheus text, also served at /), /json, /healthz
+   (built into Metrics_http; [ready] gates it — the farm flips it once its
+   event loop is live), and /profile (folded stacks from the sampling
+   profiler when one runs, else the completed-span folding). *)
+let start_metrics ?ready ?profile addr =
+  let profile_body () =
+    match profile with Some f -> f () | None -> Zobs.Sink.folded_stacks ()
+  in
+  Znet.Metrics_http.start ?healthz:ready addr ~render:(fun path ->
+      match path with
+      | "/metrics" | "/" -> Some ("text/plain; version=0.0.4", metrics_render ())
+      | "/json" -> Some ("application/json", metrics_json ())
+      | "/profile" -> Some ("text/plain", profile_body ())
+      | _ -> None)
+
+(* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -113,7 +135,6 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
     (addr : string) : unit =
   let srv = Znet.listen ~backlog:(config.max_sessions + config.accept_queue + 16) addr in
   Znet.set_server_nonblocking srv;
-  log (Printf.sprintf "listening on %s" (Znet.bound_addr srv));
   (* Readiness for /healthz: flips once the event loop is about to run, so
      a 200 means the accept loop really is live, not just the socket
      bound. *)
@@ -127,7 +148,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
   (match profiler with Some p -> Zobs.Profiler.start p | None -> ());
   let metrics =
     Option.map
-      (Remote.start_metrics
+      (start_metrics
          ~ready:(fun () -> Atomic.get live)
          ?profile:(Option.map (fun p () -> Zobs.Profiler.folded p) profiler))
       metrics_listen
@@ -135,6 +156,9 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
   (match metrics with
   | Some m -> log (Printf.sprintf "metrics on %s" (Znet.Metrics_http.bound_addr m))
   | None -> ());
+  (* Logged after "metrics on": a caller that has read this line can read
+     the metrics address too. *)
+  log (Printf.sprintf "listening on %s" (Znet.bound_addr srv));
   let cache =
     if config.setup_cache_bytes > 0 then
       Some (Setup_cache.create ~bound_bytes:config.setup_cache_bytes)
@@ -219,10 +243,10 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
       ~fields:[ Zobs.Log.int "conn" s.sid; Zobs.Log.str "peer" (Znet.peer conn) ]
       "connection accepted"
   in
-  (* Dump the flight ring: always a Chrome-trace sidecar (same
-     prover_connN.json naming as the sequential path, so trace-merge picks
-     it up unchanged), plus the JSONL forensic bundle when the session
-     erred or outran --slow-session-ms. *)
+  (* Dump the flight ring: always a Chrome-trace sidecar
+     (prover_connN.json, which trace-merge takes as the prover's side),
+     plus the JSONL forensic bundle when the session erred or outran
+     --slow-session-ms. *)
   let dump_flight s ~duration_ms =
     match (config.trace_dir, s.flight) with
     | Some dir, Some fl when Zobs.Flight.count fl > 0 ->

@@ -11,10 +11,11 @@
     [accept_queue] connections beyond [max_sessions] and sheds the rest
     with a wire [busy retry-after] reply ({!Zwire.busy_msg}).
 
-    The sequential loop ({!Argsys.Remote.serve}) and the in-process
-    loopback stay as the transcript-bit-identical reference paths; the
-    farm pumps the same state machines over the same codec, so its
-    per-session byte streams are identical too. *)
+    This is the repo's one prover serve loop. It pumps the same state
+    machines over the same codec as the in-process loopback
+    ({!Argsys.Argument.run_batch}), which stays the transcript reference:
+    per-session byte streams and verdicts are identical. [max_sessions = 1]
+    with the setup cache off serves one connection at a time. *)
 
 type config = {
   arg_config : Argsys.Argument.config;
@@ -41,7 +42,8 @@ type config = {
 }
 
 val default : config
-(** 64 sessions, 128-deep accept queue, 30 s timeout, 64 MiB cache. *)
+(** {!Argsys.Argument.default_config}, 64 sessions, 128-deep accept queue,
+    30 s timeout, 64 MiB cache. *)
 
 val approx_qap_bytes : Qapb.t -> int
 (** The resident-size estimate steering LRU eviction. *)
@@ -57,13 +59,14 @@ val serve :
   string ->
   unit
 (** Bind ["HOST:PORT"] (port 0 picks an ephemeral port), log
-    ["listening on HOST:PORT"], and run the event loop until [stop]
+    ["listening on HOST:PORT"] (after ["metrics on HOST:PORT"] when
+    [metrics_listen] is given), and run the event loop until [stop]
     returns true or — when [max_conns] is given — that many sessions have
     closed and none remain in flight (the CLI maps [--once] to
     [max_conns:1]). A fresh per-session PRG derives from [seed]; session
     errors are logged and accounted, never fatal to the loop.
     [metrics_listen] starts the Prometheus/JSON endpoint
-    ({!Argsys.Remote.start_metrics}) alongside, with [/healthz] turning
+    ({!start_metrics}) alongside, with [/healthz] turning
     200 once the event loop is live and [/profile] serving the sampling
     profiler's folded stacks.
 
@@ -73,3 +76,19 @@ val serve :
     Chrome-trace sidecar stamped with the verifier's trace id; sessions
     that error — or outlast [config.slow_session_ms] — additionally dump
     a JSONL forensic bundle. *)
+
+(** {1 Metrics endpoint} *)
+
+val metrics_json : unit -> string
+(** JSON snapshot of the server + per-connection {!Znet.Svcstats}. *)
+
+val start_metrics :
+  ?ready:(unit -> bool) -> ?profile:(unit -> string) -> string -> Znet.Metrics_http.t
+(** Start the metrics HTTP server on ["HOST:PORT"] (port 0 picks an
+    ephemeral port — read it back with {!Znet.Metrics_http.bound_addr}).
+    Serves [/metrics] (Prometheus text: per-connection Svcstats series
+    followed by every global Zobs counter/histogram/span aggregate; also
+    at [/]), [/json], [/healthz] (readiness: 200 ["ok"] while [ready] —
+    default always — holds, 503 otherwise) and [/profile] (folded stacks:
+    the live sampling profiler's when the server passes [profile], else
+    the completed-span folding). *)

@@ -40,11 +40,6 @@ val pow : ctx -> el -> t -> el
 (** Plain square-and-multiply entirely inside Montgomery form (kept as the
     ablation baseline; production paths use the kernels below). *)
 
-val pow_window : ctx -> el -> t -> el
-(** Sliding-window square-and-multiply: a table of odd powers up to
-    [2^w - 1] cuts multiplications from [bits/2] to roughly [bits/(w+1)].
-    The window width adapts to the exponent size. *)
-
 (** {2 Exponentiation kernels (DESIGN.md §8)} *)
 
 type fb

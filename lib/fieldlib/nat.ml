@@ -131,8 +131,7 @@ let sub a b =
   if !borrow <> 0 then invalid_arg "Nat.sub: negative result";
   norm r
 
-let sub_int a n = sub a (of_int n)
-
+(* Multiplier in [0, 2^31). *)
 let mul_int a m =
   if m < 0 || m >= base then invalid_arg "Nat.mul_int: multiplier out of range";
   if m = 0 || is_zero a then zero

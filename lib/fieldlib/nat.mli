@@ -40,13 +40,8 @@ val add_int : t -> int -> t
 val sub : t -> t -> t
 (** [sub a b] requires [a >= b]; raises [Invalid_argument] otherwise. *)
 
-val sub_int : t -> int -> t
-
 val mul : t -> t -> t
 (** Schoolbook below [karatsuba_threshold] limbs, Karatsuba above. *)
-
-val mul_int : t -> int -> t
-(** Multiplier must lie in [0, 2^31). *)
 
 val sqr : t -> t
 

@@ -107,6 +107,7 @@ let probably_prime ?(bases = [ 2; 3; 5; 7 ]) n =
     end
   end
 
+(* Smallest prime at or above [start]. *)
 let prime_ge start =
   let n = ref (if Nat.is_even start then Nat.add start Nat.one else start) in
   if Nat.compare !n Nat.two < 0 then n := Nat.two;

@@ -38,10 +38,6 @@ let honest ctx (u_z : Fp.el array) (u_h : Fp.el array) =
         Fp.Vec.dot ctx (Fp.scratch_for ctx) q vh);
   }
 
-(* A linear oracle whose z part encodes the wrong vector: commits to
-   (z', h) — caught by the divisibility test. *)
-let wrong_vector ctx (u_z : Fp.el array) (u_h : Fp.el array) = honest ctx u_z u_h
-
 (* A non-linear oracle: behaves like [inner] except that it adds a
    query-dependent perturbation. Caught by the linearity tests. *)
 let nonlinear ctx (inner : t) =

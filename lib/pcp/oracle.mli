@@ -22,10 +22,6 @@ val honest : Fp.ctx -> Fp.el array -> Fp.el array -> t
     answered by {!Fp.Vec.dot} (the same [fp.mul_lazy] count as
     {!Fp.dot}). *)
 
-val wrong_vector : Fp.ctx -> Fp.el array -> Fp.el array -> t
-(** A linear oracle for the wrong vector — still linear, caught by the
-    divisibility test, not the linearity tests. *)
-
 val nonlinear : Fp.ctx -> t -> t
 (** Adds a query-dependent non-linear perturbation to [query_z]; caught by
     the linearity tests (and the commitment's consistency check). *)

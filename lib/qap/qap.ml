@@ -65,6 +65,7 @@ let eval_rows ctx (rows : (R1cs.constr -> Lincomb.t)) sys nc (w : Fp.el array) =
     sys.R1cs.constraints;
   out
 
+(* The polynomials A(t), B(t), C(t) for a full assignment [w]. *)
 let interpolated_abc qap (w : Fp.el array) =
   let ctx = qap.ctx and sys = qap.sys and nc = qap.nc in
   let ip = Lazy.force qap.interp in

@@ -32,9 +32,6 @@ val of_r1cs : R1cs.system -> t
 (** Raises [Invalid_argument] if the system is empty or the field has
     fewer than |C|+1 elements (the sigma_j must be distinct). *)
 
-val interpolated_abc : t -> Fp.el array -> Polylib.Poly.t * Polylib.Poly.t * Polylib.Poly.t
-(** The polynomials A(t), B(t), C(t) for a full assignment [w]. *)
-
 val pw_poly : t -> Fp.el array -> Polylib.Poly.t
 (** P_w(t) = A(t)B(t) - C(t). *)
 

@@ -153,18 +153,23 @@ if grep -qvE '^[^ ]+ [0-9]+$' "$tmp/matmul.folded"; then
   echo "folded stacks output malformed" >&2; cat "$tmp/matmul.folded" >&2; exit 1
 fi
 
+echo "== paper field smoke (Mersenne p127, Lagrange QAP) =="
+# The default field is the NTT-friendly 127-bit prime; --qap-backend
+# lagrange selects the paper's Mersenne 2^127-1 and its Lagrange QAP,
+# which must keep verifying.
+dune exec bin/zaatar_cli.exe -- run examples/payroll.zl -i 38,45,40,52,31 --qap-backend lagrange \
+  | tee "$tmp/lagrange.out"
+grep -q "verified" "$tmp/lagrange.out" || { echo "Mersenne/Lagrange run did not verify" >&2; exit 1; }
+
 echo "== socket smoke (zaatar serve / run --connect, metrics + traces) =="
-# Start a one-shot sequential prover on an ephemeral port with the live
-# metrics endpoint and per-connection trace sidecars, scrape the endpoint
-# with `zaatar stats`, verify a traced batch against it over TCP, and merge
-# the two Chrome traces into one two-pid view. --sequential is explicit:
-# --trace-dir no longer implies the sequential loop (the farm has its own
-# flight-recorder sidecars, exercised by the farm smoke below).
+# Start a one-shot prover on an ephemeral port with the live metrics
+# endpoint and per-connection trace sidecars, scrape the endpoint with
+# `zaatar stats`, verify a traced batch against it over TCP, and merge the
+# two Chrome traces into one two-pid view.
 dune build bin/zaatar_cli.exe
 mkdir -p "$tmp/traces"
 : > "$tmp/serve.log"
 dune exec bin/zaatar_cli.exe -- serve examples/payroll.zl --listen 127.0.0.1:0 --once \
-  --sequential \
   --metrics-listen 127.0.0.1:0 --trace "$tmp/prover_proc.json" --trace-dir "$tmp/traces" \
   --log-json "$tmp/serve_log.jsonl" \
   > "$tmp/serve.log" 2>&1 &
@@ -183,7 +188,7 @@ if [ -z "$addr" ]; then
   exit 1
 fi
 maddr="$(sed -n 's/^metrics on //p' "$tmp/serve.log")"
-[ -n "$maddr" ] || { echo "prover never reported its metrics address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+[ -n "$maddr" ] || { echo "prover never reported its metrics address" >&2; cat "$tmp/serve.log" >&2; kill "$serve_pid" 2>/dev/null || true; exit 1; }
 dune exec bin/zaatar_cli.exe -- stats "$maddr" | tee "$tmp/stats.out"
 grep -q "accepted" "$tmp/stats.out" || { echo "stats scrape missing server counters" >&2; exit 1; }
 dune exec bin/zaatar_cli.exe -- stats "$maddr" --raw | tee "$tmp/stats_raw.out"
@@ -240,7 +245,7 @@ if [ -z "$faddr" ]; then
   exit 1
 fi
 fmaddr="$(sed -n 's/^metrics on //p' "$tmp/farm.log")"
-[ -n "$fmaddr" ] || { echo "farm never reported its metrics address" >&2; cat "$tmp/farm.log" >&2; exit 1; }
+[ -n "$fmaddr" ] || { echo "farm never reported its metrics address" >&2; cat "$tmp/farm.log" >&2; kill "$farm_pid" 2>/dev/null || true; exit 1; }
 # Readiness: poll /healthz until the event loop reports ok (200), the way
 # an orchestrator's startup probe would, instead of trusting the log line.
 healthz_ok=""

@@ -82,4 +82,31 @@ let unit_tests =
         Alcotest.(check (float 1e-9)) "after reset" 0.0 (Metrics.total m));
   ]
 
-let suite = unit_tests
+(* One default configuration: the farm inherits the argument's, and the
+   127-bit field is NTT-friendly unless the Lagrange backend asks for the
+   paper's Mersenne prime. *)
+let defaults_tests =
+  [
+    Alcotest.test_case "one default config; 127-bit field rule" `Quick (fun () ->
+        let d = Argument.default_config in
+        Alcotest.(check bool) "farm inherits the default" true
+          (Zfarm.Farm.default.Zfarm.Farm.arg_config = d);
+        Alcotest.(check (pair int int)) "rho, rho_lin" (3, 10)
+          (d.Argument.params.Pcp.Pcp_zaatar.rho, d.Argument.params.Pcp.Pcp_zaatar.rho_lin);
+        Alcotest.(check int) "p_bits" 512 d.Argument.p_bits;
+        Alcotest.(check int) "domains" 1 d.Argument.domains;
+        Alcotest.(check bool) "auto backend" true (d.Argument.qap_backend = Qapb.Auto);
+        Alcotest.(check bool) "default field" true
+          (Nat.equal Argument.default_field Primes.p127_ntt);
+        let field backend = Nat.to_decimal (Argument.field_of_bits ?backend 127) in
+        let ntt = Nat.to_decimal Primes.p127_ntt and mersenne = Nat.to_decimal Primes.p127 in
+        Alcotest.(check string) "127, default backend" ntt (field None);
+        Alcotest.(check string) "127, auto" ntt (field (Some Qapb.Auto));
+        Alcotest.(check string) "127, ntt" ntt (field (Some Qapb.Ntt));
+        Alcotest.(check string) "127, lagrange: Mersenne" mersenne (field (Some Qapb.Lagrange));
+        Alcotest.(check string) "61 is Mersenne under any backend"
+          (Nat.to_decimal Primes.p61)
+          (Nat.to_decimal (Argument.field_of_bits ~backend:Qapb.Ntt 61)));
+  ]
+
+let suite = unit_tests @ defaults_tests

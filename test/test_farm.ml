@@ -129,20 +129,7 @@ let test_frame_reader () =
 (* End-to-end farm runs                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs [body addr] against a farm serving [max_conns] sessions and
-   returns its result only after the farm loop has finished every session
-   and exited: the server's own completion signal, after which Svcstats
-   is final. *)
-let with_farm ?(fconfig = { Zfarm.Farm.default with arg_config = config }) ~max_conns body =
-  Znet.Svcstats.reset ();
-  let cap = Test_serve.capture () in
-  let server =
-    Domain.spawn (fun () ->
-        Zfarm.Farm.serve ~config:fconfig ~lookup ~max_conns
-          ~log:(Test_serve.log_to cap) "127.0.0.1:0")
-  in
-  let addr = Test_serve.wait_for cap "listening on " in
-  Fun.protect ~finally:(fun () -> Domain.join server) (fun () -> body addr)
+let with_farm ?fconfig ~max_conns body = Farm_harness.with_farm ?fconfig ~lookup ~max_conns body
 
 let run_client ?(comp = square_plus_3) ~seed addr =
   let prg = Chacha.Prg.create ~seed () in

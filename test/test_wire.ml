@@ -1,6 +1,7 @@
 (* Zwire codec and socket-driver tests: round-trip properties per message
-   type, decode-error taxonomy on truncated/corrupted frames, and an
-   end-to-end fork+socketpair run checked against the in-process loopback. *)
+   type, decode-error taxonomy on truncated/corrupted frames, and
+   end-to-end TCP sessions against the prover farm checked against the
+   in-process loopback. *)
 
 open Fieldlib
 open Zcrypto
@@ -190,7 +191,7 @@ let corruption_tests =
         | None -> Alcotest.fail "decoded without group modulus");
   ]
 
-(* ---- End-to-end: socketpair vs loopback ---- *)
+(* ---- End-to-end: farm over TCP vs loopback ---- *)
 
 let fi = Fp.of_int fctx
 
@@ -214,38 +215,22 @@ let square_plus_3 : Argument.computation =
   in
   { Argument.r1cs; num_inputs = 1; num_outputs = 1; solve }
 
-(* Run a batch against a prover living in its own domain, over a Unix
-   socketpair. The protocol is strict request/response ping-pong, so two
-   blocking endpoints in one process cannot deadlock. (Unix.fork is off
-   limits here: earlier suites in the runner already spawned domains.)
-   Returns the verifier-side batch result. *)
-let with_prover_domain ~lookup ~server_config (body : Znet.conn -> 'a) : 'a =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let server_conn = Znet.of_fd b and client_conn = Znet.of_fd a in
-  let server =
-    Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> try Znet.close server_conn with _ -> ())
-          (fun () ->
-            try
-              Remote.handle_conn ~config:server_config ~lookup
-                ~prg:(Chacha.Prg.create ~seed:"wire e2e prover" ())
-                server_conn
-            with Argument.Session_error _ | Znet.Net_error _ -> ()))
-  in
-  let finish () =
-    (try Znet.close client_conn with _ -> ());
-    Domain.join server
-  in
-  let res = try body client_conn with e -> finish (); raise e in
-  finish ();
-  res
-
-let run_over_socketpair ~server_config ~seed inputs =
+let lookup_sq3 =
   let d = Argument.digest square_plus_3 in
-  with_prover_domain ~server_config
-    ~lookup:(fun d' -> if String.equal d' d then Some square_plus_3 else None)
-    (fun conn ->
+  fun d' -> if String.equal d' d then Some square_plus_3 else None
+
+(* Run [body] on a connection to a one-session farm serving
+   [square_plus_3] (or what [lookup] resolves) under [server_config]. *)
+let with_prover ?(lookup = lookup_sq3) ~server_config (body : Znet.conn -> 'a) : 'a =
+  Farm_harness.with_farm
+    ~fconfig:{ Zfarm.Farm.default with arg_config = server_config }
+    ~lookup ~max_conns:1
+    (fun addr ->
+      let conn = Znet.connect addr in
+      Fun.protect ~finally:(fun () -> Znet.close conn) (fun () -> body conn))
+
+let run_remote ~server_config ~seed inputs =
+  with_prover ~server_config (fun conn ->
       Remote.run_conn ~config:Argument.test_config square_plus_3
         ~prg:(Chacha.Prg.create ~seed ())
         ~inputs conn)
@@ -264,7 +249,7 @@ let e2e_tests =
         let seed = "wire e2e verifier" in
         let inputs = Array.map (fun x -> [| fi x |]) [| 2; 5; 11 |] in
         let sock =
-          run_over_socketpair ~server_config:Argument.test_config ~seed inputs
+          run_remote ~server_config:Argument.test_config ~seed inputs
         in
         let loop =
           Argument.run_batch ~config:Argument.test_config square_plus_3
@@ -277,14 +262,14 @@ let e2e_tests =
     Alcotest.test_case "cheating remote prover rejected" `Quick (fun () ->
         let inputs = Array.map (fun x -> [| fi x |]) [| 3; 4; 9 |] in
         let r =
-          run_over_socketpair
+          run_remote
             ~server_config:{ Argument.test_config with Argument.strategy = Argument.Wrong_output }
             ~seed:"wire e2e cheat" inputs
         in
         Alcotest.(check bool) "none accepted" true (Argument.none_accepted r));
     Alcotest.test_case "unknown computation refused with Error_msg" `Quick (fun () ->
         let raised =
-          with_prover_domain ~server_config:Argument.test_config ~lookup:(fun _ -> None)
+          with_prover ~server_config:Argument.test_config ~lookup:(fun _ -> None)
             (fun conn ->
               try
                 ignore
@@ -348,9 +333,7 @@ let version_tests =
             }
         in
         let reply =
-          with_prover_domain ~server_config:cfg
-            ~lookup:(fun d' -> if String.equal d' d then Some square_plus_3 else None)
-            (fun conn ->
+          with_prover ~server_config:cfg (fun conn ->
               Znet.send conn (Zwire.encode ~version:1 hello);
               Zwire.decode (Znet.recv conn))
         in
@@ -360,11 +343,8 @@ let version_tests =
     Alcotest.test_case "newer-version hello refused with Error_msg" `Quick (fun () ->
         (* A peer from the future gets a clean protocol-level refusal, not a
            dropped connection. *)
-        let d = Argument.digest square_plus_3 in
         let reply =
-          with_prover_domain ~server_config:Argument.test_config
-            ~lookup:(fun d' -> if String.equal d' d then Some square_plus_3 else None)
-            (fun conn ->
+          with_prover ~server_config:Argument.test_config (fun conn ->
               let b = Zwire.encode (gen_hello (prg_of 17)) in
               Bytes.set b 2 (Char.chr (Zwire.version + 1));
               Znet.send conn b;

@@ -226,7 +226,7 @@ let test_profiler_samples_live_stacks () =
 let test_healthz_and_profile_routes () =
   let ready = ref false in
   let m =
-    Argsys.Remote.start_metrics ~ready:(fun () -> !ready)
+    Zfarm.Farm.start_metrics ~ready:(fun () -> !ready)
       ~profile:(fun () -> "probe;leaf 3\n")
       "127.0.0.1:0"
   in
