@@ -6,8 +6,11 @@
      dune exec bench/main.exe -- fig4         -- one experiment
      dune exec bench/main.exe -- all --scale 2 --paper-params
 
-   Experiments: micro bechamel model fig4 fig5 fig6 fig7 fig8 fig9
-   soundness ablation.
+   Experiments (the [experiments] registry at the bottom, in "all" order):
+   micro bechamel fig9 model fig4 fig5 fig7 fig8 fig6 baseline soundness
+   ablation ntt-vs-lagrange multiexp wire farm obs-overhead lint exec
+   alloc profile. Each returns its numbers as Metric.t values, which the
+   driver writes to BENCH_run.json and then gates (bench/metric.ml).
 
    Ginger's costs are *estimated from its cost model* (Figure 3's left
    column, parameterized by our measured microbenchmarks), exactly as the
@@ -22,33 +25,28 @@ open Fieldlib
 (* ------------------------------------------------------------------ *)
 
 type cfg = {
+  arg : Argsys.Argument.config; (* rho, rho_lin, p_bits, domains, qap backend *)
   field : Nat.t;
   scale : int;
-  rho : int;
-  rho_lin : int;
-  p_bits : int;
   batch : int;
   quick : bool;
-  domains : int; (* Pool domains for the commitment pipeline (--domains) *)
-  qap_backend : Qapb.backend; (* --qap-backend auto|ntt|lagrange *)
+  drift : float; (* --drift: the baseline's relative band on timings *)
+  model_band : float * float; (* --model-band: the --check-model band on totals *)
 }
 
-(* The protocol fields come from Argument.default_config and the field
-   from Argument.default_field, the defaults `zaatar run` uses too. Force
-   the Lagrange pipeline with --qap-backend lagrange (identical over either
+(* The protocol comes from Argument.default_config and the field from
+   Argument.default_field, the defaults `zaatar run` uses too. Force the
+   Lagrange pipeline with --qap-backend lagrange (identical over either
    127-bit prime: the Lagrange path never uses the 2-adic structure). *)
 let default_cfg =
-  let d = Argsys.Argument.default_config in
   {
+    arg = Argsys.Argument.default_config;
     field = Argsys.Argument.default_field;
     scale = 1;
-    rho = d.params.rho;
-    rho_lin = d.params.rho_lin;
-    p_bits = d.p_bits;
     batch = 2;
     quick = false;
-    domains = d.domains;
-    qap_backend = d.qap_backend;
+    drift = 4.0;
+    model_band = (0.2, 5.0);
   }
 
 let ctx_of cfg = Fp.create cfg.field
@@ -58,25 +56,42 @@ let ctx_of cfg = Fp.create cfg.field
    the Lagrange pipeline. Drives the backend-aware cost model. *)
 let ntt_domain_of cfg ctx ~nc =
   let pick =
-    match cfg.qap_backend with
+    match cfg.arg.qap_backend with
     | Qapb.Lagrange -> false
     | Qapb.Ntt -> true
     | Qapb.Auto -> nc > 0 && Qapb.ntt_viable ctx nc
   in
   if pick then Some (Polylib.Ntt.next_pow2 nc) else None
 
-let protocol cfg = { Pcp.Pcp_zaatar.rho = cfg.rho; rho_lin = cfg.rho_lin }
+(* Costmodel keeps its own copy of the PCP repetition counts. *)
+let model_protocol cfg =
+  { Costmodel.Model.rho = cfg.arg.params.rho; rho_lin = cfg.arg.params.rho_lin }
 
-(* The honest-prover argument configuration [cfg] selects. *)
-let arg_config cfg =
-  {
-    Argsys.Argument.default_config with
-    params = protocol cfg;
-    p_bits = cfg.p_bits;
-    domains = cfg.domains;
-    qap_backend = cfg.qap_backend;
-  }
-let model_protocol cfg = { Costmodel.Model.rho = cfg.rho; rho_lin = cfg.rho_lin }
+(* The configuration a run is identified by: written into BENCH_run.json
+   and every history line, and matched key by key against a --baseline. *)
+let config_json cfg =
+  let int n = Zobs.Json.Num (float_of_int n) in
+  Zobs.Json.Obj
+    [
+      ("field_bits", int (Nat.num_bits cfg.field));
+      ("rho", int cfg.arg.params.rho);
+      ("rho_lin", int cfg.arg.params.rho_lin);
+      ("p_bits", int cfg.arg.p_bits);
+      ("batch", int cfg.batch);
+      ("scale", int cfg.scale);
+      ("quick", Zobs.Json.Bool cfg.quick);
+      ("qap_backend", Zobs.Json.Str (Qapb.backend_to_string cfg.arg.qap_backend));
+    ]
+
+(* The smallest computation the protocol experiments run: soundness
+   trials, the wire accounting and the farm sessions. *)
+let sq3_source =
+  "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
+
+(* The benchmark suite, cut to its first app under --quick. *)
+let suite_apps cfg =
+  let l = Apps.Registry.suite ~scale:cfg.scale () in
+  if cfg.quick then [ List.hd l ] else l
 
 let banner title =
   Printf.printf "\n=======================================================================\n";
@@ -110,12 +125,12 @@ let measure_local (app : Apps.App_def.t) prg =
 let microbench_cache : (string, Costmodel.Params.t) Hashtbl.t = Hashtbl.create 4
 
 let measured_params cfg =
-  let key = Printf.sprintf "%s/%d" (Nat.to_hex cfg.field) cfg.p_bits in
+  let key = Printf.sprintf "%s/%d" (Nat.to_hex cfg.field) cfg.arg.p_bits in
   match Hashtbl.find_opt microbench_cache key with
   | Some p -> p
   | None ->
     let ctx = ctx_of cfg in
-    let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
+    let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.arg.p_bits () in
     let p = Costmodel.Params.measure ~iters:(if cfg.quick then 200 else 1000) ctx grp in
     Hashtbl.add microbench_cache key p;
     p
@@ -137,7 +152,7 @@ let run_cache : (string, bench_run) Hashtbl.t = Hashtbl.create 8
 let bench_run cfg (app : Apps.App_def.t) : bench_run =
   let key =
     app.Apps.App_def.name ^ "/" ^ app.Apps.App_def.params_desc ^ "/"
-    ^ Qapb.backend_to_string cfg.qap_backend
+    ^ Qapb.backend_to_string cfg.arg.qap_backend
   in
   match Hashtbl.find_opt run_cache key with
   | Some r -> r
@@ -152,8 +167,7 @@ let bench_run cfg (app : Apps.App_def.t) : bench_run =
       Array.init cfg.batch (fun _ ->
           Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs prg))
     in
-    let config = arg_config cfg in
-    let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
+    let result = Argsys.Argument.run_batch ~config:cfg.arg comp ~prg ~inputs in
     if not (Argsys.Argument.all_accepted result) then
       failwith (key ^ ": verification unexpectedly failed");
     let prover_per_instance = Argsys.Metrics.total result.Argsys.Argument.prover /. float_of_int cfg.batch in
@@ -219,7 +233,7 @@ let run_bechamel cfg =
   let open Bechamel in
   let make_group label field =
     let ctx = Fp.create field in
-    let grp = Zcrypto.Group.cached ~field_order:field ~p_bits:cfg.p_bits () in
+    let grp = Zcrypto.Group.cached ~field_order:field ~p_bits:cfg.arg.p_bits () in
     let prg = Chacha.Prg.create ~seed:"bechamel" () in
     let sk, pk = Zcrypto.Elgamal.keygen grp prg in
     let a = Chacha.Prg.field_nonzero ctx prg and b = Chacha.Prg.field_nonzero ctx prg in
@@ -258,15 +272,6 @@ let run_bechamel cfg =
 (* F3: cost-model validation (Figure 3)                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Filled by run_model and folded into BENCH_run.json under "model":
-   per-application predicted vs. measured prover seconds and their ratio
-   (delta), per phase. `--check-model` turns a delta outside the tolerance
-   band into a non-zero exit; `--baseline` compares deltas against a
-   committed BENCH_baseline.json. [model_rows] keeps the raw numbers so the
-   gates need not re-parse their own JSON. *)
-let model_section : Zobs.Json.t ref = ref Zobs.Json.Null
-let model_rows : (string * (string * float * float) list) list ref = ref []
-
 (* The model's two phases against the prover's four measured spans:
    construct_u covers solving the constraints and building the proof
    vector; issue_responses covers the commitment crypto and answering the
@@ -292,88 +297,41 @@ let model_phases cfg (r : bench_run) =
     ("total", zp.Costmodel.Model.total_p, r.prover_per_instance);
   ]
 
+(* Per application and phase: predicted vs. measured prover seconds and
+   their ratio (delta). --baseline holds every delta within [1/drift,
+   drift] of the committed one. --check-model holds each application's
+   total inside the band. Only the total is banded — the per-phase split
+   disagrees by construction (crypto_ops runs under a parallel Dompool map
+   where the model prices sequential work, and at small scales constant
+   factors swamp the model's asymptotic terms) and the paper only
+   validates totals. The default band is deliberately wide: it catches an
+   order-of-magnitude regression (a broken kernel, a mis-costed phase),
+   not scheduler jitter. *)
 let run_model cfg =
   banner "Figure 3: cost model vs. measured Zaatar prover";
   Printf.printf "(paper: empirical CPU costs are 5-15%% larger than the model's predictions)\n\n";
   Printf.printf "%-28s %-16s %12s %12s %8s\n" "computation" "phase" "model" "measured" "ratio";
-  let rows =
-    List.map
-      (fun (app : Apps.App_def.t) ->
-        let r = bench_run cfg app in
-        let phases = model_phases cfg r in
-        List.iteri
-          (fun i (ph, predicted, measured) ->
-            Printf.printf "%-28s %-16s %12s %12s %7.2fx\n%!"
-              (if i = 0 then app.Apps.App_def.display else "")
-              ph (fmt_s predicted) (fmt_s measured) (measured /. predicted))
-          phases;
-        (app.Apps.App_def.name, phases))
-      (Apps.Registry.suite ~scale:cfg.scale ())
-  in
-  model_rows := rows;
-  let num x = Zobs.Json.Num x in
-  model_section :=
-    Zobs.Json.Obj
-      [
-        ( "apps",
-          Zobs.Json.Arr
-            (List.map
-               (fun (name, phases) ->
-                 Zobs.Json.Obj
-                   [
-                     ("name", Zobs.Json.Str name);
-                     ( "phases",
-                       Zobs.Json.Obj
-                         (List.map
-                            (fun (ph, predicted, measured) ->
-                              ( ph,
-                                Zobs.Json.Obj
-                                  [
-                                    ("predicted_s", num predicted);
-                                    ("measured_s", num measured);
-                                    ("delta", num (measured /. predicted));
-                                  ] ))
-                            phases) );
-                   ])
-               rows) );
-      ]
-
-(* --check-model gate: every application's total measured/predicted ratio
-   must land inside the band. Only the total is gated — the per-phase
-   split disagrees by construction (crypto_ops runs under a parallel
-   Dompool map where the model prices sequential work, and at small scales
-   constant factors swamp the model's asymptotic terms) and the paper only
-   validates totals. Per-phase deltas are still recorded in the JSON and
-   held to the committed baseline by --baseline. The default band is
-   deliberately wide: it catches an order-of-magnitude regression (a
-   broken kernel, a mis-costed phase), not scheduler jitter. *)
-let check_model (lo, hi) =
-  if !model_rows = [] then begin
-    Printf.eprintf "--check-model: the model experiment did not run\n";
-    exit 1
-  end;
-  let breaches =
-    List.concat_map
-      (fun (name, phases) ->
-        List.filter_map
-          (fun (ph, predicted, measured) ->
-            let delta = measured /. predicted in
-            if ph = "total" && (delta < lo || delta > hi || Float.is_nan delta) then
-              Some (name, ph, delta)
-            else None)
-          phases)
-      !model_rows
-  in
-  if breaches = [] then
-    Printf.printf "\ncost model check OK: all deltas within [%.2f, %.2f]\n%!" lo hi
-  else begin
-    List.iter
-      (fun (name, ph, delta) ->
-        Printf.eprintf "cost model breach: %s/%s measured/predicted = %.2fx outside [%.2f, %.2f]\n"
-          name ph delta lo hi)
-      breaches;
-    exit 1
-  end
+  List.concat_map
+    (fun (app : Apps.App_def.t) ->
+      let r = bench_run cfg app in
+      List.concat
+        (List.mapi
+           (fun i (ph, predicted, measured) ->
+             let delta = measured /. predicted in
+             Printf.printf "%-28s %-16s %12s %12s %7.2fx\n%!"
+               (if i = 0 then app.Apps.App_def.display else "")
+               ph (fmt_s predicted) (fmt_s measured) delta;
+             let at k = Printf.sprintf "model.apps.%s.phases.%s.%s" app.Apps.App_def.name ph k in
+             [
+               Metric.info (at "predicted_s") predicted;
+               Metric.info (at "measured_s") measured;
+               Metric.drift (1.0 /. cfg.drift, cfg.drift) (at "delta") delta;
+             ]
+             @
+             if ph = "total" then [ Metric.band Metric.Check_model cfg.model_band (at "delta") delta ]
+             else [])
+           (model_phases cfg r)))
+    (Apps.Registry.suite ~scale:cfg.scale ())
 
 (* ------------------------------------------------------------------ *)
 (* F4: prover per-instance running time, Zaatar vs Ginger              *)
@@ -421,14 +379,13 @@ let run_fig5 cfg =
 (* F6: parallelizing and distributing the prover                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Prover-only batch with separate compute and crypto parallelism; the
-   "GPU" configurations give the crypto phase extra domains (see DESIGN.md
-   substitutions). *)
-let prover_batch_wall cfg ~compute_domains ~crypto_domains (comp : Argsys.Argument.computation)
+(* Prover-only batch with separate compute and crypto parallelism, as
+   its three phase times; the "GPU" configurations give the crypto phase
+   extra domains (see DESIGN.md substitutions). *)
+let prover_batch ~compute_domains ~crypto_domains (comp : Argsys.Argument.computation)
     (qap : Qapb.t) queries req_z req_h inputs =
   (* Force lazy QAP structures before entering domains. *)
   Qapb.prewarm qap;
-  ignore cfg;
   let num_z = comp.Argsys.Argument.r1cs.Constr.R1cs.num_z in
   let ctx = comp.Argsys.Argument.r1cs.Constr.R1cs.field in
   let parts, t_compute =
@@ -450,34 +407,6 @@ let prover_batch_wall cfg ~compute_domains ~crypto_domains (comp : Argsys.Argume
       (fun (z, h) -> Pcp.Pcp_zaatar.answer (Pcp.Oracle.honest ctx z h) queries)
       parts
   in
-  t_compute +. t_crypto +. t_answer
-
-(* Single-domain prover batch, returning the three phase times. *)
-let prover_batch_phases cfg (comp : Argsys.Argument.computation) (qap : Qapb.t) queries req_z req_h
-    inputs =
-  ignore cfg;
-  Qapb.prewarm qap;
-  let num_z = comp.Argsys.Argument.r1cs.Constr.R1cs.num_z in
-  let ctx = comp.Argsys.Argument.r1cs.Constr.R1cs.field in
-  let parts, t_compute =
-    Dompool.Pool.timed_map ~domains:1
-      (fun x ->
-        let w = comp.Argsys.Argument.solve x in
-        let h = Qapb.prover_h qap w in
-        (Array.sub w 1 num_z, h))
-      inputs
-  in
-  let _, t_crypto =
-    Dompool.Pool.timed_map ~domains:1
-      (fun (z, h) ->
-        (Commitment.Commit.prover_commit req_z z, Commitment.Commit.prover_commit req_h h))
-      parts
-  in
-  let _, t_answer =
-    Dompool.Pool.timed_map ~domains:1
-      (fun (z, h) -> Pcp.Pcp_zaatar.answer (Pcp.Oracle.honest ctx z h) queries)
-      parts
-  in
   (t_compute, t_crypto, t_answer)
 
 let run_fig6 cfg =
@@ -495,9 +424,9 @@ let run_fig6 cfg =
       let prg = Chacha.Prg.create ~seed:("fig6 " ^ app.Apps.App_def.name) () in
       let compiled = Apps.Glue.compile ctx app in
       let comp = Apps.Glue.computation_of compiled in
-      let qap = Qapb.of_r1cs ~backend:cfg.qap_backend comp.Argsys.Argument.r1cs in
-      let queries = Pcp.Pcp_zaatar.gen_queries ~params:(protocol cfg) qap prg in
-      let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
+      let qap = Qapb.of_r1cs ~backend:cfg.arg.qap_backend comp.Argsys.Argument.r1cs in
+      let queries = Pcp.Pcp_zaatar.gen_queries ~params:cfg.arg.params qap prg in
+      let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.arg.p_bits () in
       let num_z = comp.Argsys.Argument.r1cs.Constr.R1cs.num_z in
       let req_z, _ = Commitment.Commit.commit_request ctx grp prg ~len:num_z in
       let req_h, _ = Commitment.Commit.commit_request ctx grp prg ~len:(Qapb.h_len qap) in
@@ -505,12 +434,17 @@ let run_fig6 cfg =
         Array.init beta (fun _ -> Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs prg))
       in
       let wall ~c ~g =
-        prover_batch_wall cfg ~compute_domains:c ~crypto_domains:(c + g) comp qap queries req_z
-          req_h inputs
+        let tc, tk, ta =
+          prover_batch ~compute_domains:c ~crypto_domains:(c + g) comp qap queries req_z req_h
+            inputs
+        in
+        tc +. tk +. ta
       in
       (* Single-domain run with per-phase times, for the ideal projections
          (the paper's own "(ideal)" bars). *)
-      let t_compute, t_crypto, t_answer = prover_batch_phases cfg comp qap queries req_z req_h inputs in
+      let t_compute, t_crypto, t_answer =
+        prover_batch ~compute_domains:1 ~crypto_domains:1 comp qap queries req_z req_h inputs
+      in
       let base = t_compute +. t_crypto +. t_answer in
       Printf.printf "%s (batch = %d, 1C latency %s: compute %s, crypto %s, answer %s):\n"
         app.Apps.App_def.display beta (fmt_s base) (fmt_s t_compute) (fmt_s t_crypto) (fmt_s t_answer);
@@ -749,10 +683,11 @@ let run_baseline cfg =
       in
       let gconfig =
         {
-          Argsys.Argument_ginger.params = { Pcp.Pcp_ginger.rho = cfg.rho; rho_lin = cfg.rho_lin };
-          p_bits = cfg.p_bits;
+          Argsys.Argument_ginger.params =
+            { Pcp.Pcp_ginger.rho = cfg.arg.params.rho; rho_lin = cfg.arg.params.rho_lin };
+          p_bits = cfg.arg.p_bits;
           cheat = false;
-          domains = cfg.domains;
+          domains = cfg.arg.domains;
         }
       in
       let gres = Argsys.Argument_ginger.run_instance ~config:gconfig gcomp ~prg ~x in
@@ -766,8 +701,7 @@ let run_baseline cfg =
       let ginger_model = (Costmodel.Model.ginger_prover p (model_protocol cfg) sizes).Costmodel.Model.total_p in
       (* Zaatar, measured on the same computation. *)
       let zcomp = Apps.Glue.computation_of compiled in
-      let zconfig = arg_config cfg in
-      let zres = Argsys.Argument.run_batch ~config:zconfig zcomp ~prg ~inputs:[| x |] in
+      let zres = Argsys.Argument.run_batch ~config:cfg.arg zcomp ~prg ~inputs:[| x |] in
       if not (Argsys.Argument.all_accepted zres) then failwith (label ^ ": zaatar run rejected");
       let zaatar_measured = Argsys.Metrics.total zres.Argsys.Argument.prover in
       Printf.printf "%-32s %12d %14s %14s %12s\n%!" label stats.Zlang.Compile.u_ginger
@@ -795,12 +729,12 @@ let run_soundness cfg =
      circuit size, and a tiny circuit lets us afford many independent
      protocol runs. Single-repetition PCP so that the *per-repetition*
      rate is what is measured. *)
-  let compiled =
-    Zlang.Compile.compile ~ctx
-      "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
-  in
+  let compiled = Zlang.Compile.compile ~ctx sq3_source in
   let comp = Apps.Glue.computation_of compiled in
   let app_inputs prg = [| Chacha.Prg.int_below prg 10000; Chacha.Prg.int_below prg 10000 |] in
+  let config strategy =
+    { cfg.arg with params = Pcp.Pcp_zaatar.test_params; p_bits = 192; strategy; domains = 1 }
+  in
   let strategies =
     [
       (Argsys.Argument.Wrong_output, "wrong output");
@@ -817,10 +751,7 @@ let run_soundness cfg =
       for i = 1 to trials do
         let prg = Chacha.Prg.create ~seed:(Printf.sprintf "sound %s %d" label i) () in
         let inputs = [| Apps.Glue.field_inputs ctx (app_inputs prg) |] in
-        let config =
-          { Argsys.Argument.params = Pcp.Pcp_zaatar.test_params; p_bits = 192; strategy; domains = 1; qap_backend = cfg.qap_backend }
-        in
-        let r = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
+        let r = Argsys.Argument.run_batch ~config:(config strategy) comp ~prg ~inputs in
         if Argsys.Argument.none_accepted r then incr rejected
       done;
       Printf.printf "  %-22s %4d/%d rejected (%.1f%%)\n%!" label !rejected trials
@@ -832,16 +763,7 @@ let run_soundness cfg =
   for i = 1 to honest_trials do
     let prg = Chacha.Prg.create ~seed:(Printf.sprintf "sound honest %d" i) () in
     let inputs = [| Apps.Glue.field_inputs ctx (app_inputs prg) |] in
-    let config =
-      {
-        Argsys.Argument.params = Pcp.Pcp_zaatar.test_params;
-        p_bits = 192;
-        strategy = Argsys.Argument.Honest;
-        domains = 1;
-        qap_backend = cfg.qap_backend;
-      }
-    in
-    let r = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
+    let r = Argsys.Argument.run_batch ~config:(config Argsys.Argument.Honest) comp ~prg ~inputs in
     if Argsys.Argument.all_accepted r then incr accepted
   done;
   Printf.printf "  %-22s %4d/%d accepted (completeness must be 100%%)\n" "honest prover" !accepted honest_trials
@@ -857,100 +779,85 @@ let run_soundness cfg =
    allocation via the ledger's per-phase GC deltas, (3) verdicts, which
    must agree exactly, and (4) the packed NTT H against the boxed
    subproduct-tree reference over the same domain, which must match
-   bit for bit. Correctness disagreement exits 1; the speed and
-   allocation ratios land in BENCH_run.json under "ntt_vs_lagrange". *)
-let ntt_section : Zobs.Json.t ref = ref Zobs.Json.Null
-
+   bit for bit. Correctness disagreement is an always-on check; the
+   speed and allocation ratios land under "ntt_vs_lagrange". *)
 let run_ntt_vs_lagrange cfg =
   banner "NTT vs Lagrange: prover_h wall, construct_u allocation, verdict agreement";
   let ctx = ctx_of cfg in
-  let ok = ref true in
   let span_total name =
     match List.assoc_opt name (Zobs.Span.totals ()) with
     | Some st -> st.Zobs.Span.total
     | None -> 0.0
   in
-  let apps =
-    let l = Apps.Registry.suite ~scale:cfg.scale () in
-    if cfg.quick then [ List.hd l ] else l
-  in
+  let apps = suite_apps cfg in
   if not (Qapb.ntt_viable ctx 2) then begin
     Printf.printf "field has no 2-adic structure: NTT arm not viable, skipping\n";
-    ntt_section := Zobs.Json.Obj [ ("skipped", Zobs.Json.Bool true) ]
+    [ Metric.info "ntt_vs_lagrange.skipped" 1.0 ]
   end
-  else begin
-    let rows =
-      List.map
-        (fun (app : Apps.App_def.t) ->
-          let iprg = Chacha.Prg.create ~seed:("nvl inputs " ^ app.Apps.App_def.name) () in
-          let compiled = Apps.Glue.compile ctx app in
-          let comp = Apps.Glue.computation_of compiled in
-          let inputs =
-            Array.init cfg.batch (fun _ ->
-                Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs iprg))
+  else
+    List.concat_map
+      (fun (app : Apps.App_def.t) ->
+        let iprg = Chacha.Prg.create ~seed:("nvl inputs " ^ app.Apps.App_def.name) () in
+        let compiled = Apps.Glue.compile ctx app in
+        let comp = Apps.Glue.computation_of compiled in
+        let inputs =
+          Array.init cfg.batch (fun _ ->
+              Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs iprg))
+        in
+        let arm backend span_name =
+          (* Fresh ledger so the construct_u GC delta belongs to this
+             arm alone; same protocol seed so both arms face identical
+             queries. *)
+          Zobs.Ledger.reset ();
+          let s0 = span_total span_name in
+          let config = { cfg.arg with qap_backend = backend } in
+          let prg = Chacha.Prg.create ~seed:("nvl run " ^ app.Apps.App_def.name) () in
+          let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
+          let wall = span_total span_name -. s0 in
+          let minor =
+            match Zobs.Ledger.phase "construct_u" with
+            | Some ph -> ph.Zobs.Ledger.gc.Zobs.Span.minor_words
+            | None -> 0.0
           in
-          let arm backend span_name =
-            (* Fresh ledger so the construct_u GC delta belongs to this
-               arm alone; same protocol seed so both arms face identical
-               queries. *)
-            Zobs.Ledger.reset ();
-            let s0 = span_total span_name in
-            let config = arg_config { cfg with qap_backend = backend } in
-            let prg = Chacha.Prg.create ~seed:("nvl run " ^ app.Apps.App_def.name) () in
-            let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
-            let wall = span_total span_name -. s0 in
-            let minor =
-              match Zobs.Ledger.phase "construct_u" with
-              | Some ph -> ph.Zobs.Ledger.gc.Zobs.Span.minor_words
-              | None -> 0.0
-            in
-            let verdicts =
-              Array.map
-                (fun (i : Argsys.Argument.instance_result) -> i.Argsys.Argument.accepted)
-                result.Argsys.Argument.instances
-            in
-            (verdicts, wall, minor)
+          let verdicts =
+            Array.map
+              (fun (i : Argsys.Argument.instance_result) -> i.Argsys.Argument.accepted)
+              result.Argsys.Argument.instances
           in
-          let v_ntt, w_ntt, m_ntt = arm Qapb.Ntt "qap_ntt.prover_h" in
-          let v_lag, w_lag, m_lag = arm Qapb.Lagrange "qap.prover_h" in
-          let verdicts_agree = v_ntt = v_lag in
-          let all_accepted = Array.for_all Fun.id v_ntt in
-          (* Differential H: packed fast path vs boxed subproduct-tree
-             reference over the same roots-of-unity domain. *)
-          let h_ok =
-            let qntt = Qap_ntt.of_r1cs comp.Argsys.Argument.r1cs in
-            let w = comp.Argsys.Argument.solve inputs.(0) in
-            let h = Qap_ntt.prover_h qntt w in
-            let hr = Qap_ntt.prover_h_reference qntt w in
-            Array.length h = Array.length hr && Array.for_all2 Fp.equal h hr
-          in
-          if not (verdicts_agree && all_accepted && h_ok) then ok := false;
-          let wall_ratio = w_lag /. w_ntt and alloc_ratio = m_lag /. Float.max 1.0 m_ntt in
-          Printf.printf
-            "%-28s prover_h %s -> %s (%5.1fx)  construct_u minor words %12.0f -> %10.0f (%5.1fx)  %s%s\n%!"
-            app.Apps.App_def.display (fmt_s w_lag) (fmt_s w_ntt) wall_ratio m_lag m_ntt
-            alloc_ratio
-            (if verdicts_agree && all_accepted then "verdicts ok" else "VERDICTS DIVERGE")
-            (if h_ok then ", H ok" else ", H MISMATCH");
-          let num x = Zobs.Json.Num x in
-          ( app.Apps.App_def.name,
-            Zobs.Json.Obj
-              [
-                ("lagrange", Zobs.Json.Obj [ ("prover_h_s", num w_lag); ("construct_u_minor_words", num m_lag) ]);
-                ("ntt", Zobs.Json.Obj [ ("prover_h_s", num w_ntt); ("construct_u_minor_words", num m_ntt) ]);
-                ("wall_ratio", num wall_ratio);
-                ("alloc_ratio", num alloc_ratio);
-                ("verdicts_agree", Zobs.Json.Bool (verdicts_agree && all_accepted));
-                ("h_matches_reference", Zobs.Json.Bool h_ok);
-              ] ))
-        apps
-    in
-    ntt_section := Zobs.Json.Obj rows;
-    if not !ok then begin
-      Printf.eprintf "ntt-vs-lagrange: backend disagreement (see above)\n";
-      exit 1
-    end
-  end
+          (verdicts, wall, minor)
+        in
+        let v_ntt, w_ntt, m_ntt = arm Qapb.Ntt "qap_ntt.prover_h" in
+        let v_lag, w_lag, m_lag = arm Qapb.Lagrange "qap.prover_h" in
+        let verdicts_ok = v_ntt = v_lag && Array.for_all Fun.id v_ntt in
+        (* Differential H: packed fast path vs boxed subproduct-tree
+           reference over the same roots-of-unity domain. *)
+        let h_ok =
+          let qntt = Qap_ntt.of_r1cs comp.Argsys.Argument.r1cs in
+          let w = comp.Argsys.Argument.solve inputs.(0) in
+          let h = Qap_ntt.prover_h qntt w in
+          let hr = Qap_ntt.prover_h_reference qntt w in
+          Array.length h = Array.length hr && Array.for_all2 Fp.equal h hr
+        in
+        let wall_ratio = w_lag /. w_ntt and alloc_ratio = m_lag /. Float.max 1.0 m_ntt in
+        Printf.printf
+          "%-28s prover_h %s -> %s (%5.1fx)  construct_u minor words %12.0f -> %10.0f (%5.1fx)  %s%s\n%!"
+          app.Apps.App_def.display (fmt_s w_lag) (fmt_s w_ntt) wall_ratio m_lag m_ntt
+          alloc_ratio
+          (if verdicts_ok then "verdicts ok" else "VERDICTS DIVERGE")
+          (if h_ok then ", H ok" else ", H MISMATCH");
+        let at k = "ntt_vs_lagrange." ^ app.Apps.App_def.name ^ "." ^ k in
+        let diverge = "ntt-vs-lagrange: backend disagreement (see above)" in
+        [
+          Metric.info (at "lagrange.prover_h_s") w_lag;
+          Metric.info (at "lagrange.construct_u_minor_words") m_lag;
+          Metric.info (at "ntt.prover_h_s") w_ntt;
+          Metric.info (at "ntt.construct_u_minor_words") m_ntt;
+          Metric.info (at "wall_ratio") wall_ratio;
+          Metric.info (at "alloc_ratio") alloc_ratio;
+          Metric.check diverge (at "verdicts_agree") verdicts_ok;
+          Metric.check diverge (at "h_matches_reference") h_ok;
+        ])
+      apps
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (design choices called out in DESIGN.md)                  *)
@@ -983,8 +890,8 @@ let rec run_ablation cfg =
   bench "extended Euclid x256 (production path)" (fun () -> Array.map (Fp.inv ctx) xs);
   bench "Fermat exponentiation x256" (fun () -> Array.map (Fp.inv_fermat ctx) xs);
   bench "batch inversion x256 (query weights path)" (fun () -> Fp.batch_inv ctx xs);
-  Printf.printf "\ngroup exponentiation (%d-bit modulus, 127-bit exponents):\n" cfg.p_bits;
-  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
+  Printf.printf "\ngroup exponentiation (%d-bit modulus, 127-bit exponents):\n" cfg.arg.p_bits;
+  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.arg.p_bits () in
   let exps = Array.init 16 (fun _ -> Fp.to_nat (Chacha.Prg.field ctx prg)) in
   bench "windowed Montgomery ladder (generic path)" (fun () ->
       Array.map (Zcrypto.Group.pow grp grp.Zcrypto.Group.g) exps);
@@ -1061,11 +968,9 @@ and random_r1cs_for_h ctx nc =
 (* Multiexp: exponentiation-kernel ablation (DESIGN.md §8)             *)
 (* ------------------------------------------------------------------ *)
 
-(* Filled by run_multiexp and folded into BENCH_run.json under "multiexp".
-   scripts/ci.sh runs this experiment in smoke mode and fails the build if
-   any kernel result diverges from the naive ladder. *)
-let multiexp_section : Zobs.Json.t ref = ref Zobs.Json.Null
-
+(* Numbers land under "multiexp"; a kernel result that diverges from the
+   naive ladder fails an always-on check (scripts/ci.sh runs this
+   experiment in smoke mode). *)
 let run_multiexp cfg =
   banner "Multiexp ablation: naive ladder vs fixed-base window vs Pippenger";
   let open Zcrypto in
@@ -1078,13 +983,14 @@ let run_multiexp cfg =
       Printf.printf "  DIVERGENCE: %s\n%!" label
     end
   in
-  let num x = Zobs.Json.Num x and int n = Zobs.Json.Num (float_of_int n) in
+  let num path x = Metric.info ("multiexp." ^ path) x in
+  let int path n = num path (float_of_int n) in
   (* -- single fixed base: g^e for many e, at the configured group size -- *)
-  let grp = Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
+  let grp = Group.cached ~field_order:cfg.field ~p_bits:cfg.arg.p_bits () in
   let fb_lengths = if cfg.quick then [ 32; 128 ] else [ 64; 256; 1024 ] in
   let _, t_table = time_thunk (fun () -> ignore (Group.fb_g grp)) in
   Printf.printf "fixed-base g-table build (%d-bit group): %s (one-time, cached on the group)\n"
-    cfg.p_bits (fmt_s t_table);
+    cfg.arg.p_bits (fmt_s t_table);
   Printf.printf "%-10s %12s %14s %9s\n" "exps" "naive" "fixed-base" "speedup";
   let fixed_rows =
     List.map
@@ -1100,8 +1006,8 @@ let run_multiexp cfg =
           (Array.for_all2 Group.equal naive fixed);
         Printf.printf "%-10d %12s %14s %8.2fx\n%!" len (fmt_s t_naive) (fmt_s t_fixed)
           (t_naive /. t_fixed);
-        Zobs.Json.Obj
-          [ ("len", int len); ("naive_s", num t_naive); ("fixed_base_s", num t_fixed) ])
+        let at k = Printf.sprintf "fixed_base.%d.%s" len k in
+        [ num (at "naive_s") t_naive; num (at "fixed_base_s") t_fixed ])
       fb_lengths
   in
   (* -- g-table window sweep: the measurement that fixes Group.g_window.
@@ -1130,7 +1036,7 @@ let run_multiexp cfg =
       tables
   done;
   Printf.printf "\ng-table window sweep (%d-bit group, %d-bit exponents; shipped window %d):\n"
-    cfg.p_bits q_bits Group.g_window;
+    cfg.arg.p_bits q_bits Group.g_window;
   Printf.printf "%-8s %10s %12s %10s %12s\n" "window" "table MB" "build" "muls/pow" "us/pow";
   let sweep_rows =
     List.map
@@ -1139,11 +1045,9 @@ let run_multiexp cfg =
         let mb = float_of_int (digits * ((1 lsl window) - 1) * k * 8) /. 1e6 in
         let us = 1e6 *. !best /. float_of_int (Array.length sweep_exps) in
         Printf.printf "%-8d %10.2f %12s %10d %12.2f\n%!" window mb (fmt_s t_build) digits us;
-        Zobs.Json.Obj
-          [
-            ("window", int window); ("table_mb", num mb); ("build_s", num t_build);
-            ("muls_per_pow", int digits); ("us_per_pow", num us);
-          ])
+        let at k = Printf.sprintf "g_window_sweep.%d.%s" window k in
+        [ num (at "table_mb") mb; num (at "build_s") t_build; int (at "muls_per_pow") digits;
+          num (at "us_per_pow") us ])
       tables
   in
   (* -- Pippenger multi-exponentiation over random bases -- *)
@@ -1165,7 +1069,8 @@ let run_multiexp cfg =
         check (Printf.sprintf "pippenger len=%d" len) (Group.equal naive pip);
         Printf.printf "%-10d %12s %14s %8.2fx\n%!" len (fmt_s t_naive) (fmt_s t_pip)
           (t_naive /. t_pip);
-        Zobs.Json.Obj [ ("len", int len); ("naive_s", num t_naive); ("pippenger_s", num t_pip) ])
+        let at k = Printf.sprintf "pippenger.%d.%s" len k in
+        [ num (at "naive_s") t_naive; num (at "pippenger_s") t_pip ])
       fb_lengths
   in
   (* -- the commit phase end to end, at the paper's 1024-bit keys --
@@ -1224,54 +1129,33 @@ let run_multiexp cfg =
     (fmt_s t_com_kernel) (t_com_naive /. t_com_kernel);
   Printf.printf "  %-24s %12s %12s %8.2fx\n%!" "commit phase total" (fmt_s t_naive)
     (fmt_s t_kernel) (t_naive /. t_kernel);
-  multiexp_section :=
-    Zobs.Json.Obj
-      [
-        ("p_bits", int cfg.p_bits);
-        ("fixed_base", Zobs.Json.Arr fixed_rows);
-        ("g_window_sweep", Zobs.Json.Arr sweep_rows);
-        ("pippenger", Zobs.Json.Arr pip_rows);
-        ( "commit_phase",
-          Zobs.Json.Obj
-            [
-              ("p_bits", int 1024);
-              ("len", int len);
-              ("domains", int domains);
-              ("enc_naive_s", num t_enc_naive);
-              ("enc_kernel_s", num t_enc_kernel);
-              ("commit_naive_s", num t_com_naive);
-              ("commit_kernel_s", num t_com_kernel);
-              ("naive_s", num t_naive);
-              ("kernel_s", num t_kernel);
-              ("speedup", num (t_naive /. t_kernel));
-            ] );
-        ("kernels_agree", Zobs.Json.Bool !agree);
-      ];
-  if !agree then Printf.printf "\nmultiexp kernels agree with the naive ladder\n%!"
-  else begin
-    Printf.eprintf "multiexp: kernel results diverge from the naive ladder\n";
-    exit 1
-  end
+  if !agree then Printf.printf "\nmultiexp kernels agree with the naive ladder\n%!";
+  let commit k = "commit_phase." ^ k in
+  (int "p_bits" cfg.arg.p_bits :: List.concat (fixed_rows @ sweep_rows @ pip_rows))
+  @ [
+      int (commit "p_bits") 1024; int (commit "len") len; int (commit "domains") domains;
+      num (commit "enc_naive_s") t_enc_naive; num (commit "enc_kernel_s") t_enc_kernel;
+      num (commit "commit_naive_s") t_com_naive; num (commit "commit_kernel_s") t_com_kernel;
+      num (commit "naive_s") t_naive; num (commit "kernel_s") t_kernel;
+      num (commit "speedup") (t_naive /. t_kernel);
+      Metric.check "multiexp: kernel results diverge from the naive ladder"
+        "multiexp.kernels_agree" !agree;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Wire: network accounting for the split V/P protocol (Figure 9 vein) *)
 (* ------------------------------------------------------------------ *)
 
-(* Filled by run_wire and folded into BENCH_run.json under "network". The
-   loopback driver encodes and decodes every protocol message, so the
-   wire.* counters measure exactly what `zaatar serve` would move over a
-   socket; sent and received must balance or the run fails. *)
-let wire_section : Zobs.Json.t ref = ref Zobs.Json.Null
-
-let wire_phases = [ "hello"; "commit"; "query"; "answer"; "verdict" ]
+(* Numbers land under "network". The loopback driver encodes and decodes
+   every protocol message, so the wire.* counters measure exactly what
+   `zaatar serve` would move over a socket; sent and received must balance
+   or the run fails. Byte and message counts are deterministic for a
+   fixed configuration, so --baseline compares them exactly. *)
 
 let run_wire cfg =
   banner "Wire protocol: bytes moved per phase of the split verifier/prover argument";
   let ctx = ctx_of cfg in
-  let compiled =
-    Zlang.Compile.compile ~ctx
-      "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
-  in
+  let compiled = Zlang.Compile.compile ~ctx sq3_source in
   let comp = Apps.Glue.computation_of compiled in
   let prg = Chacha.Prg.create ~seed:"bench wire" () in
   let batch = max 2 cfg.batch in
@@ -1280,65 +1164,58 @@ let run_wire cfg =
         Apps.Glue.field_inputs ctx
           [| Chacha.Prg.int_below prg 10000; Chacha.Prg.int_below prg 10000 |])
   in
-  let config = arg_config cfg in
   let snapshot () =
     let vals = Zobs.Registry.counter_values () in
     fun name -> match List.assoc_opt name vals with Some v -> v | None -> 0
   in
   let before = snapshot () in
-  let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
+  let result = Argsys.Argument.run_batch ~config:cfg.arg comp ~prg ~inputs in
   if not (Argsys.Argument.all_accepted result) then failwith "wire: verification failed";
   let after = snapshot () in
   let delta name = after name - before name in
   let sent = delta "wire.bytes.sent" and recv = delta "wire.bytes.recv" in
   let msgs = delta "wire.msgs" in
   Printf.printf "batch of %d instance(s), field %d bits, group %d bits\n\n" batch
-    (Nat.num_bits cfg.field) cfg.p_bits;
+    (Nat.num_bits cfg.field) cfg.arg.p_bits;
   Printf.printf "%-10s %12s %12s %8s\n" "phase" "sent B" "recv B" "msgs";
+  let exact k n = Metric.exact ("network." ^ k) (float_of_int n) in
   let per_phase =
-    List.map
+    List.concat_map
       (fun ph ->
         let s = delta ("wire.bytes.sent." ^ ph)
         and r = delta ("wire.bytes.recv." ^ ph)
         and m = delta ("wire.msgs." ^ ph) in
         Printf.printf "%-10s %12d %12d %8d\n" ph s r m;
-        (ph, s, r, m))
-      wire_phases
+        let at k = "per_phase." ^ ph ^ "." ^ k in
+        [ exact (at "sent") s; exact (at "recv") r; exact (at "msgs") m ])
+      [ "hello"; "commit"; "query"; "answer"; "verdict" ]
   in
   Printf.printf "%-10s %12d %12d %8d\n%!" "total" sent recv msgs;
-  let num n = Zobs.Json.Num (float_of_int n) in
-  wire_section :=
-    Zobs.Json.Obj
-      [
-        ("batch", num batch);
-        ("bytes_sent", num sent);
-        ("bytes_recv", num recv);
-        ("msgs", num msgs);
-        ("balanced", Zobs.Json.Bool (sent = recv));
-        ( "per_phase",
-          Zobs.Json.Obj
-            (List.map
-               (fun (ph, s, r, m) ->
-                 (ph, Zobs.Json.Obj [ ("sent", num s); ("recv", num r); ("msgs", num m) ]))
-               per_phase) );
-      ];
   (* Cross-check: the loopback driver decodes every byte it encodes, so an
      imbalance means a codec phase is unaccounted. *)
-  if sent <> recv || sent = 0 then begin
-    Printf.eprintf "wire: sent (%d) and received (%d) bytes do not balance\n" sent recv;
-    exit 1
-  end;
-  Printf.printf "\nsent and received bytes balance (%d B over %d message(s))\n%!" sent msgs
+  let balanced = sent = recv && sent > 0 in
+  if balanced then
+    Printf.printf "\nsent and received bytes balance (%d B over %d message(s))\n%!" sent msgs;
+  [
+    Metric.info "network.batch" (float_of_int batch);
+    exact "bytes_sent" sent;
+    exact "bytes_recv" recv;
+    exact "msgs" msgs;
+    Metric.check
+      (Printf.sprintf "wire: sent (%d) and received (%d) bytes do not balance" sent recv)
+      "network.balanced" balanced;
+  ]
+  @ per_phase
 
 (* ------------------------------------------------------------------ *)
 (* Farm: concurrent sessions vs one session at a time                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Filled by run_farm and folded into BENCH_run.json under "farm".
-   Sessions/sec and latency percentiles at N concurrent verifier clients
-   against (a) the farm serving one session at a time (--max-sessions 1,
-   setup cache off; the JSON keeps the seq_* key names), (b) the farm
-   with the setup cache, (c) the farm with the cache disabled.
+(* Numbers land under "farm". Sessions/sec and latency percentiles at N
+   concurrent verifier clients against (a) the farm serving one session
+   at a time (--max-sessions 1, setup cache off; the JSON keeps the seq_*
+   key names), (b) the farm with the setup cache, (c) the farm with the
+   cache disabled.
 
    The clients are *replay* clients: one real verifier session is
    recorded (frames sent, replies received, verdict checked), then every
@@ -1348,8 +1225,13 @@ let run_wire cfg =
    PRG, so replies are a deterministic function of the received frames).
    Identical clients hit every arm, so the comparison isolates the
    server: one session at a time is held hostage by each client's think
-   time, concurrent sessions overlap them. *)
-let farm_section : Zobs.Json.t ref = ref Zobs.Json.Null
+   time, concurrent sessions overlap them.
+
+   --baseline holds the client count, frames/session, cache hit/miss
+   counts and the warm-session construction count exactly (they are
+   deterministic); the speedup over one session at a time is wall-clock
+   and held to the drift band. Byte-identical replies and zero warm QAP
+   constructions are always-on checks. *)
 
 let record_session ~config comp ~prg ~inputs addr =
   let conn = Znet.connect addr in
@@ -1416,27 +1298,22 @@ let with_farm fc ~lookup ~max_conns f =
   Domain.join server;
   r
 
-(* The computation both farm experiments serve, its configuration and
-   lookup, and one real verifier session of it recorded against a
-   one-session farm. *)
+(* The lookup of the computation both farm experiments serve, and one
+   real verifier session of it recorded against a one-session farm. *)
 let sq3_session cfg ~seed =
   let ctx = ctx_of cfg in
-  let compiled =
-    Zlang.Compile.compile ~ctx
-      "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
-  in
+  let compiled = Zlang.Compile.compile ~ctx sq3_source in
   let comp = Apps.Glue.computation_of compiled in
-  let config = arg_config cfg in
   let lookup =
     let d = Argsys.Argument.digest comp in
     fun d' -> if String.equal d' d then Some comp else None
   in
   let transcript =
-    with_farm { Zfarm.Farm.default with arg_config = config } ~lookup ~max_conns:1
-      (record_session ~config comp ~prg:(Chacha.Prg.create ~seed ())
+    with_farm { Zfarm.Farm.default with arg_config = cfg.arg } ~lookup ~max_conns:1
+      (record_session ~config:cfg.arg comp ~prg:(Chacha.Prg.create ~seed ())
          ~inputs:[| Apps.Glue.field_inputs ctx [| 7; 11 |] |])
   in
-  (config, lookup, transcript)
+  (lookup, transcript)
 
 (* A replayed fleet of [clients] concurrent sessions: wall seconds, and
    whether every reply matched the recording. *)
@@ -1450,7 +1327,7 @@ let replay_fleet ~clients ~think_s ~addr transcript =
 
 let run_farm cfg =
   banner "Farm: sessions/sec at concurrent verifier clients (concurrent vs one at a time)";
-  let config, lookup, transcript = sq3_session cfg ~seed:"bench farm verifier" in
+  let lookup, transcript = sq3_session cfg ~seed:"bench farm verifier" in
   let clients = 8 in
   let think_ms = if cfg.quick then 25 else 60 in
   let think_s = float_of_int think_ms /. 1000.0 in
@@ -1461,7 +1338,7 @@ let run_farm cfg =
   let farm_arm ~max_sessions ~cache_bytes =
     Znet.Svcstats.reset ();
     let fc =
-      { Zfarm.Farm.default with arg_config = config; max_sessions; setup_cache_bytes = cache_bytes }
+      { Zfarm.Farm.default with arg_config = cfg.arg; max_sessions; setup_cache_bytes = cache_bytes }
     in
     let wall, ok =
       with_farm fc ~lookup ~max_conns:clients (fun addr ->
@@ -1490,55 +1367,48 @@ let run_farm cfg =
   Printf.printf "setup cache: %d hit(s), %d miss(es); warm-session QAP constructions: %d\n" hits
     misses warm_builds;
   Printf.printf "session latency ms (farm, cached): p50 %.1f  p95 %.1f  p99 %.1f\n%!" p50 p95 p99;
-  let ok = seq_ok && farm_ok && nocache_ok in
-  if not ok then begin
-    Printf.eprintf "farm: a replayed session saw a reply that differs from the recorded bytes\n";
-    exit 1
-  end;
-  if warm_builds <> 0 then begin
-    Printf.eprintf "farm: %d QAP construction(s) on warm sessions (cache should serve them)\n"
-      warm_builds;
-    exit 1
-  end;
-  let num n = Zobs.Json.Num (float_of_int n) and fnum x = Zobs.Json.Num x in
-  farm_section :=
-    Zobs.Json.Obj
-      [
-        ("clients", num clients);
-        ("think_ms", num think_ms);
-        ("frames_per_session", num frames);
-        ("seq_wall_s", fnum seq_wall);
-        ("farm_wall_s", fnum farm_wall);
-        ("farm_nocache_wall_s", fnum nocache_wall);
-        ("seq_sessions_per_s", fnum (per_s seq_wall));
-        ("farm_sessions_per_s", fnum (per_s farm_wall));
-        ("speedup", fnum speedup);
-        ("cache_hits", num hits);
-        ("cache_misses", num misses);
-        ("warm_qap_constructions", num warm_builds);
-        ( "latency_ms",
-          Zobs.Json.Obj [ ("p50", fnum p50); ("p95", fnum p95); ("p99", fnum p99) ] );
-        ("transcripts_identical", Zobs.Json.Bool ok);
-      ]
+  let num k x = Metric.info ("farm." ^ k) x in
+  let exact k n = Metric.exact ("farm." ^ k) (float_of_int n) in
+  [
+    exact "clients" clients;
+    num "think_ms" (float_of_int think_ms);
+    exact "frames_per_session" frames;
+    num "seq_wall_s" seq_wall;
+    num "farm_wall_s" farm_wall;
+    num "farm_nocache_wall_s" nocache_wall;
+    num "seq_sessions_per_s" (per_s seq_wall);
+    num "farm_sessions_per_s" (per_s farm_wall);
+    Metric.drift (1.0 /. cfg.drift, cfg.drift) "farm.speedup" speedup;
+    exact "cache_hits" hits;
+    exact "cache_misses" misses;
+    exact "warm_qap_constructions" warm_builds;
+    Metric.expect
+      (Printf.sprintf "farm: %d QAP construction(s) on warm sessions (cache should serve them)"
+         warm_builds)
+      "farm.warm_qap_constructions" 0.0 (float_of_int warm_builds);
+    num "latency_ms.p50" p50;
+    num "latency_ms.p95" p95;
+    num "latency_ms.p99" p99;
+    Metric.check "farm: a replayed session saw a reply that differs from the recorded bytes"
+      "farm.transcripts_identical" (seq_ok && farm_ok && nocache_ok);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Zscope overhead: flight recorder + sampling profiler cost           *)
 (* ------------------------------------------------------------------ *)
 
-(* Filled by run_obs_overhead and folded into BENCH_run.json under
-   "obs_overhead". Two farm arms serve the same replayed client fleet:
+(* Numbers land under "obs_overhead". Two farm arms serve the same replayed client fleet:
    one with the Zscope instrumentation on (per-session flight recorder at
    its default capacity plus the sampling profiler at its default rate),
    one with both disabled (--flight-cap 0 --profile-hz 0). The acceptance
    band holds the on-arm to within 3% of the off-arm's sessions/sec
-   (DESIGN.md §15's overhead budget); --baseline enforces it. *)
-let obs_section : Zobs.Json.t ref = ref Zobs.Json.Null
-
+   (DESIGN.md §15's overhead budget); --baseline enforces it as an
+   absolute band, not a drift band. *)
 let obs_overhead_band = 1.03
 
 let run_obs_overhead cfg =
   banner "Zscope overhead: farm sessions/sec, flight recorder + sampler on vs off";
-  let config, lookup, transcript = sq3_session cfg ~seed:"bench obs verifier" in
+  let lookup, transcript = sq3_session cfg ~seed:"bench obs verifier" in
   let clients = 8 in
   let rounds = if cfg.quick then 2 else 3 in
   (* No think time: the comparison is server-bound on purpose, so any
@@ -1552,7 +1422,7 @@ let run_obs_overhead cfg =
       let fc =
         {
           Zfarm.Farm.default with
-          arg_config = config;
+          arg_config = cfg.arg;
           max_sessions = clients + 2;
           flight_cap;
           profile_hz;
@@ -1583,41 +1453,39 @@ let run_obs_overhead cfg =
     ((ratio -. 1.0) *. 100.0)
     ((obs_overhead_band -. 1.0) *. 100.0)
     rounds;
-  if not (on_ok && off_ok) then begin
-    Printf.eprintf "obs-overhead: a replayed session saw a reply that differs from the record\n";
-    exit 1
-  end;
-  let num n = Zobs.Json.Num (float_of_int n) and fnum x = Zobs.Json.Num x in
-  obs_section :=
-    Zobs.Json.Obj
-      [
-        ("clients", num clients);
-        ("rounds", num rounds);
-        ("on_wall_s", fnum on_wall);
-        ("off_wall_s", fnum off_wall);
-        ("on_sessions_per_s", fnum (per_s on_wall));
-        ("off_sessions_per_s", fnum (per_s off_wall));
-        ("overhead_ratio", fnum ratio);
-        ("band", fnum obs_overhead_band);
-        ("transcripts_identical", Zobs.Json.Bool (on_ok && off_ok));
-      ]
+  let num k x = Metric.info ("obs_overhead." ^ k) x in
+  [
+    num "clients" (float_of_int clients);
+    num "rounds" (float_of_int rounds);
+    num "on_wall_s" on_wall;
+    num "off_wall_s" off_wall;
+    num "on_sessions_per_s" (per_s on_wall);
+    num "off_sessions_per_s" (per_s off_wall);
+    Metric.band Metric.Baseline
+      ~msg:
+        (Printf.sprintf "baseline: obs_overhead: recorder+sampler cost %.1f%% of sessions/sec (band %.0f%%)"
+           ((ratio -. 1.0) *. 100.0)
+           ((obs_overhead_band -. 1.0) *. 100.0))
+      (neg_infinity, obs_overhead_band) "obs_overhead.overhead_ratio" ratio;
+    num "band" obs_overhead_band;
+    Metric.check "obs-overhead: a replayed session saw a reply that differs from the record"
+      "obs_overhead.transcripts_identical" (on_ok && off_ok);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Lint: Zlint analyzer timing and finding counts over the suite       *)
 (* ------------------------------------------------------------------ *)
 
-(* Filled by run_lint and folded into BENCH_run.json under "lint". The
-   benchmark computations are the largest systems we compile, so timing
-   the backend analyzer over them is the regression canary for Zlint
-   itself; finding counts are deterministic for a fixed configuration and
-   must stay at zero (the suite ships clean). *)
-let lint_section : Zobs.Json.t ref = ref Zobs.Json.Null
-
+(* Numbers land under "lint". The benchmark computations are the largest
+   systems we compile, so timing the backend analyzer over them is the
+   regression canary for Zlint itself; finding counts are deterministic
+   for a fixed configuration (--baseline compares them exactly) and must
+   stay at zero errors (the suite ships clean). Analyzer seconds are
+   wall-clock: --baseline only bounds them from above. *)
 let run_lint cfg =
   banner "Zlint: analyzer wall-clock and finding counts over the benchmark suite";
   let ctx = ctx_of cfg in
-  let apps = Apps.Registry.suite ~scale:cfg.scale () in
-  let apps = if cfg.quick then [ List.hd apps ] else apps in
+  let apps = suite_apps cfg in
   Printf.printf "%-28s %8s %8s %10s %10s %7s\n" "computation" "rows" "vars" "frontend s"
     "backend s" "finds";
   let rows =
@@ -1630,44 +1498,34 @@ let run_lint cfg =
         let sys = Zlang.Compile.zaatar_r1cs compiled in
         let back, t_back = time_thunk (fun () -> Zlint.lint_compiled compiled) in
         let findings = front @ back in
-        Printf.printf "%-28s %8d %8d %10.4f %10.4f %7d\n" app.Apps.App_def.name
-          (Constr.R1cs.num_constraints sys)
+        let nc = Constr.R1cs.num_constraints sys in
+        Printf.printf "%-28s %8d %8d %10.4f %10.4f %7d\n" app.Apps.App_def.name nc
           sys.Constr.R1cs.num_vars t_front t_back (List.length findings);
-        (app.Apps.App_def.name, Constr.R1cs.num_constraints sys, t_front, t_back, findings))
+        let at k = "lint.apps." ^ app.Apps.App_def.name ^ "." ^ k in
+        ( findings,
+          [
+            Metric.exact (at "rows") (float_of_int nc);
+            Metric.info (at "frontend_s") t_front;
+            Metric.drift (0.0, cfg.drift) (at "backend_s") t_back;
+            Metric.exact (at "findings") (float_of_int (List.length findings));
+          ] ))
       apps
   in
-  let total_findings = List.concat_map (fun (_, _, _, _, f) -> f) rows in
-  let count sev = Zlint.Diagnostic.count_severity sev total_findings in
+  let count sev = Zlint.Diagnostic.count_severity sev (List.concat_map fst rows) in
   let errors = count Zlint.Diagnostic.Error
   and warns = count Zlint.Diagnostic.Warn
   and infos = count Zlint.Diagnostic.Info in
-  let num x = Zobs.Json.Num x and int n = Zobs.Json.Num (float_of_int n) in
-  lint_section :=
-    Zobs.Json.Obj
-      [
-        ( "apps",
-          Zobs.Json.Arr
-            (List.map
-               (fun (name, nc, t_front, t_back, findings) ->
-                 Zobs.Json.Obj
-                   [
-                     ("name", Zobs.Json.Str name);
-                     ("rows", int nc);
-                     ("frontend_s", num t_front);
-                     ("backend_s", num t_back);
-                     ("findings", int (List.length findings));
-                   ])
-               rows) );
-        ("errors", int errors);
-        ("warnings", int warns);
-        ("info", int infos);
-      ];
   Printf.printf "\nlint totals: %d error(s), %d warning(s), %d info\n%!" errors warns infos;
-  (* The shipped suite linting dirty is itself a regression. *)
-  if errors > 0 then begin
-    Printf.eprintf "lint: benchmark suite has error-severity findings\n";
-    exit 1
-  end
+  let exact k n = Metric.exact ("lint." ^ k) (float_of_int n) in
+  List.concat_map snd rows
+  @ [
+      exact "errors" errors;
+      exact "warnings" warns;
+      exact "info" infos;
+      (* The shipped suite linting dirty is itself a regression. *)
+      Metric.expect "lint: benchmark suite has error-severity findings" "lint.errors" 0.0
+        (float_of_int errors);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Exec: Zexec interpreter throughput and fuzz campaign rate           *)
@@ -1679,20 +1537,19 @@ let run_lint cfg =
    systems, and the differential fuzz campaign's program rate rides
    along. Pinned/defaulted counts and fuzz discrepancies are
    seed-deterministic, so --baseline compares them exactly; seconds get
-   the usual drift band. *)
-let exec_section : Zobs.Json.t ref = ref Zobs.Json.Null
-
+   an upper drift band. An interpreter error, or a witness that differs
+   from the compiler's, stops the run. *)
 let run_exec cfg =
   banner "Zexec: interpreter solve throughput vs. the compiler's solver, fuzz program rate";
   let ctx = ctx_of cfg in
-  let apps = Apps.Registry.suite ~scale:cfg.scale () in
-  let apps = if cfg.quick then [ List.hd apps ] else apps in
+  let apps = suite_apps cfg in
   let prg = Chacha.Prg.create ~seed:"bench exec" () in
   Printf.printf "%-28s %8s %10s %10s %10s %7s %7s\n" "computation" "rows" "compile_s"
     "interp_s" "rows/s" "pinned" "free";
   let rows =
-    List.map
+    List.concat_map
       (fun (app : Apps.App_def.t) ->
+        let name = app.Apps.App_def.name in
         let compiled = Apps.Glue.compile ctx app in
         let sys = Zlang.Compile.zaatar_r1cs compiled in
         let nc = Constr.R1cs.num_constraints sys in
@@ -1703,23 +1560,26 @@ let run_exec cfg =
         in
         let r, t_interp = time_thunk (fun () -> Zexec.Exec.solve sys ~inputs:finputs) in
         match r with
-        | Error e ->
-          Printf.eprintf "exec: %s: %s\n" app.Apps.App_def.name (Zexec.Exec.error_to_text e);
-          exit 1
+        | Error e -> failwith (Printf.sprintf "exec: %s: %s" name (Zexec.Exec.error_to_text e))
         | Ok (w, st) ->
           Array.iteri
             (fun v x ->
-              if not (Fp.equal x w.(v)) then begin
-                Printf.eprintf "exec: %s: witness differs from the compiler at w%d\n"
-                  app.Apps.App_def.name v;
-                exit 1
-              end)
+              if not (Fp.equal x w.(v)) then
+                failwith
+                  (Printf.sprintf "exec: %s: witness differs from the compiler at w%d" name v))
             w_compiler;
-          Printf.printf "%-28s %8d %10.4f %10.4f %10.0f %7d %7d\n" app.Apps.App_def.name nc
-            t_compiler t_interp
-            (float_of_int nc /. t_interp)
-            st.Zexec.Exec.pinned st.Zexec.Exec.defaulted;
-          (app.Apps.App_def.name, nc, t_compiler, t_interp, st))
+          let rows_per_s = float_of_int nc /. t_interp in
+          Printf.printf "%-28s %8d %10.4f %10.4f %10.0f %7d %7d\n" name nc t_compiler t_interp
+            rows_per_s st.Zexec.Exec.pinned st.Zexec.Exec.defaulted;
+          let at k = "exec.apps." ^ name ^ "." ^ k in
+          [
+            Metric.exact (at "rows") (float_of_int nc);
+            Metric.info (at "compiler_s") t_compiler;
+            Metric.drift (0.0, cfg.drift) (at "interp_s") t_interp;
+            Metric.info (at "rows_per_s") rows_per_s;
+            Metric.exact (at "pinned") (float_of_int st.Zexec.Exec.pinned);
+            Metric.exact (at "defaulted") (float_of_int st.Zexec.Exec.defaulted);
+          ])
       apps
   in
   let fuzz_count = if cfg.quick then 20 else 60 in
@@ -1728,61 +1588,48 @@ let run_exec cfg =
         Zfuzz.Fuzz.campaign ~verdict_every:0 ~ctx ~seed:42 ~count:fuzz_count ())
   in
   let bad = List.length report.Zfuzz.Fuzz.discrepancies in
-  Printf.printf "\nfuzz campaign: %d program(s) in %.2fs (%.1f prog/s), %d discrepancy(ies)\n%!"
-    report.Zfuzz.Fuzz.programs t_fuzz
-    (float_of_int report.Zfuzz.Fuzz.programs /. t_fuzz)
-    bad;
-  let num x = Zobs.Json.Num x and int n = Zobs.Json.Num (float_of_int n) in
-  exec_section :=
-    Zobs.Json.Obj
-      [
-        ( "apps",
-          Zobs.Json.Arr
-            (List.map
-               (fun (name, nc, t_compiler, t_interp, (st : Zexec.Exec.stats)) ->
-                 Zobs.Json.Obj
-                   [
-                     ("name", Zobs.Json.Str name);
-                     ("rows", int nc);
-                     ("compiler_s", num t_compiler);
-                     ("interp_s", num t_interp);
-                     ("rows_per_s", num (float_of_int nc /. t_interp));
-                     ("pinned", int st.Zexec.Exec.pinned);
-                     ("defaulted", int st.Zexec.Exec.defaulted);
-                   ])
-               rows) );
-        ( "fuzz",
-          Zobs.Json.Obj
-            [
-              ("programs", int report.Zfuzz.Fuzz.programs);
-              ("seconds", num t_fuzz);
-              ("programs_per_s", num (float_of_int report.Zfuzz.Fuzz.programs /. t_fuzz));
-              ("discrepancies", int bad);
-            ] );
-      ];
-  (* A discrepancy in the bench seed is a real compiler/interpreter bug. *)
-  if bad > 0 then begin
-    Printf.eprintf "exec: the fuzz campaign found %d discrepancy(ies)\n" bad;
-    exit 1
-  end
+  let programs = float_of_int report.Zfuzz.Fuzz.programs in
+  Printf.printf "\nfuzz campaign: %.0f program(s) in %.2fs (%.1f prog/s), %d discrepancy(ies)\n%!"
+    programs t_fuzz (programs /. t_fuzz) bad;
+  rows
+  @ [
+      Metric.info "exec.fuzz.programs" programs;
+      Metric.info "exec.fuzz.seconds" t_fuzz;
+      Metric.info "exec.fuzz.programs_per_s" (programs /. t_fuzz);
+      Metric.exact "exec.fuzz.discrepancies" (float_of_int bad);
+      (* A discrepancy in the bench seed is a real compiler/interpreter bug. *)
+      Metric.expect
+        (Printf.sprintf "exec: the fuzz campaign found %d discrepancy(ies)" bad)
+        "exec.fuzz.discrepancies" 0.0 (float_of_int bad);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Alloc: words allocated per primitive op (Zledger GC profiling)      *)
 (* ------------------------------------------------------------------ *)
 
 (* [Gc.minor_words] is an exact allocation counter (not a sample), so
-   delta/iters is the precise per-op allocation footprint. Folded into
-   BENCH_run.json under "alloc" and into BENCH_history.jsonl. *)
-let alloc_section : Zobs.Json.t ref = ref Zobs.Json.Null
+   delta/iters is the precise per-op allocation footprint. Lands under
+   "alloc" in BENCH_run.json and in BENCH_history.jsonl.
 
-(* words/op per kernel, kept for the --check-ledger allocation gate. *)
-let alloc_rows : (string * float) list ref = ref []
+   --check-ledger puts ceilings on words/op for the hot-path kernels. The
+   packed butterfly must stay allocation free; the boxed field mults
+   allocate their result nat and nothing else, with headroom for GC
+   accounting noise. prg.field: the byte<->limb boundary (DESIGN.md §17)
+   — 5.76 words/op, ceiling ~10% above. elgamal.encrypt, now the key
+   owner's two-power form, and pcp.gen_queries per query element:
+   verifier set-up (DESIGN.md §18) — 138.8 and 0.95 words/op, ceilings
+   ~10% above (the former ceiling for encrypt was 380). *)
+let alloc_ceilings =
+  [
+    ("fp.mul", 120.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0); ("prg.field", 6.3);
+    ("elgamal.encrypt", 153.0); ("pcp.gen_queries", 1.05);
+  ]
 
 let run_alloc cfg =
   banner "Allocation profile: minor words per primitive operation";
   let ctx = ctx_of cfg in
   let prg = Chacha.Prg.create ~seed:"alloc bench" () in
-  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
+  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.arg.p_bits () in
   let sk, _pk = Zcrypto.Elgamal.keygen grp prg in
   let a = Chacha.Prg.field_nonzero ctx prg and b = Chacha.Prg.field_nonzero ctx prg in
   let m = Chacha.Prg.field ctx prg in
@@ -1824,8 +1671,8 @@ let run_alloc cfg =
      boxed element per slot. pam, the suite's largest system. *)
   let gen_row =
     let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx (Apps.Registry.pam ~scale:cfg.scale)) in
-    let qap = Qapb.of_r1cs ~backend:cfg.qap_backend comp.Argsys.Argument.r1cs in
-    let gen () = Pcp.Pcp_zaatar.gen_queries ~params:(protocol cfg) qap prg in
+    let qap = Qapb.of_r1cs ~backend:cfg.arg.qap_backend comp.Argsys.Argument.r1cs in
+    let gen () = Pcp.Pcp_zaatar.gen_queries ~params:cfg.arg.params qap prg in
     let q = gen () in
     let elements =
       Array.fold_left (fun n v -> n + Fp.Vec.length v) 0
@@ -1840,29 +1687,22 @@ let run_alloc cfg =
     Printf.printf "  %-18s %10d %14.1f %12.3f   (per query element)\n" "pcp.gen_queries" n words us;
     ("pcp.gen_queries", n, words, us)
   in
-  let rows = rows @ [ gen_row ] in
-  alloc_rows := List.map (fun (name, _, words, _) -> (name, words)) rows;
-  alloc_section :=
-    Zobs.Json.Obj
-      (List.map
-         (fun (name, iters, words, us) ->
-           ( name,
-             Zobs.Json.Obj
-               [
-                 ("iters", Zobs.Json.Num (float_of_int iters));
-                 ("words_per_op", Zobs.Json.Num words);
-                 ("us_per_op", Zobs.Json.Num us);
-               ] ))
-         rows);
-  print_newline ()
+  print_newline ();
+  List.concat_map
+    (fun (name, iters, words, us) ->
+      let at k = "alloc." ^ name ^ "." ^ k in
+      [
+        Metric.info (at "iters") (float_of_int iters);
+        (match List.assoc_opt name alloc_ceilings with
+        | Some c -> Metric.band Metric.Check_ledger (neg_infinity, c) (at "words_per_op") words
+        | None -> Metric.info (at "words_per_op") words);
+        Metric.info (at "us_per_op") us;
+      ])
+    (rows @ [ gen_row ])
 
 (* ------------------------------------------------------------------ *)
 (* Profile: ledger overhead + the Figure-3 op audit (DESIGN.md §12)    *)
 (* ------------------------------------------------------------------ *)
-
-let profile_section : Zobs.Json.t ref = ref Zobs.Json.Null
-let ledger_section : Zobs.Json.t ref = ref Zobs.Json.Null
-let ledger_audit_rows : Costmodel.Model.audit_row list ref = ref []
 
 let run_profile cfg =
   banner "Zledger: instrumentation overhead and the op audit";
@@ -1874,7 +1714,7 @@ let run_profile cfg =
      the budget is < 3% (acceptance criterion). *)
   let len = if cfg.quick then 96 else 512 in
   let domains = min (Dompool.Pool.num_cores ()) 8 in
-  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
+  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.arg.p_bits () in
   let commit_once () =
     let prg = Chacha.Prg.create ~seed:"ledger overhead" () in
     let req, _vs = Commitment.Commit.commit_request ~domains ctx grp prg ~len in
@@ -1913,12 +1753,8 @@ let run_profile cfg =
     Array.init cfg.batch (fun _ ->
         Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs prg))
   in
-  let config = arg_config cfg in
-  let result = Argsys.Argument.run_batch ~config comp ~prg ~inputs in
-  if not (Argsys.Argument.all_accepted result) then begin
-    Printf.eprintf "profile: the audit batch was REJECTED\n";
-    exit 1
-  end;
+  let result = Argsys.Argument.run_batch ~config:cfg.arg comp ~prg ~inputs in
+  if not (Argsys.Argument.all_accepted result) then failwith "profile: the audit batch was REJECTED";
   let stats = Zlang.Compile.stats compiled in
   let sizes =
     Costmodel.Model.sizes_of_stats stats ~n_x:compiled.Zlang.Compile.num_inputs
@@ -1929,8 +1765,6 @@ let run_profile cfg =
     Costmodel.Model.zaatar_op_audit ?ntt_domain (model_protocol cfg) sizes ~beta:cfg.batch
       ~ledger:Zobs.Ledger.phase
   in
-  ledger_audit_rows := rows;
-  ledger_section := Zobs.Ledger.phases_json ();
   let gated = List.filter (fun r -> r.Costmodel.Model.gated) rows in
   let in_band = List.filter (fun (r : Costmodel.Model.audit_row) -> r.pass) gated in
   Printf.printf "  %-22s %-8s %12s %12s %8s %s\n" "phase" "op" "predicted" "ledgered" "ratio"
@@ -1943,427 +1777,103 @@ let run_profile cfg =
     rows;
   Printf.printf "op audit (%s, batch %d): %d/%d gated rows in band\n%!" app.Apps.App_def.name
     cfg.batch (List.length in_band) (List.length gated);
-  let num x = Zobs.Json.Num x and int n = Zobs.Json.Num (float_of_int n) in
-  let row_json (r : Costmodel.Model.audit_row) =
-    Zobs.Json.Obj
-      [
-        ("phase", Zobs.Json.Str r.phase);
-        ("op", Zobs.Json.Str r.op);
-        ("predicted", num r.predicted);
-        ("ledgered", int r.ledgered);
-        ("ratio", num r.ratio);
-        ("lo", num r.lo);
-        ("hi", num r.hi);
-        ("gated", Zobs.Json.Bool r.gated);
-        ("pass", Zobs.Json.Bool r.pass);
-      ]
+  let overhead k x = Metric.info ("profile.overhead." ^ k) x in
+  (* --check-ledger holds every gated audit row inside its documented band
+     (the bands live in Costmodel.Model.zaatar_op_audit and are documented
+     in DESIGN.md §12); informational rows never fail it. *)
+  let audit (r : Costmodel.Model.audit_row) =
+    let at k = Printf.sprintf "profile.audit.%s.%s.%s" r.phase r.op k in
+    [
+      Metric.info (at "predicted") r.predicted;
+      Metric.info (at "ledgered") (float_of_int r.ledgered);
+      (if r.gated then
+         Metric.band Metric.Check_ledger (r.lo, r.hi) (at "ratio") r.ratio
+           ~msg:
+             (Printf.sprintf "--check-ledger: %s/%s ratio %.3f outside [%.2f, %.2f] (%s)" r.phase
+                r.op r.ratio r.lo r.hi r.note)
+       else Metric.info (at "ratio") r.ratio);
+      Metric.info (at "lo") r.lo;
+      Metric.info (at "hi") r.hi;
+      Metric.info (at "gated") (Metric.of_bool r.gated);
+      Metric.info (at "pass") (Metric.of_bool r.pass);
+    ]
   in
-  profile_section :=
-    Zobs.Json.Obj
-      [
-        ( "overhead",
-          Zobs.Json.Obj
-            [
-              ("len", int len);
-              ("domains", int domains);
-              ("off_s", num !t_off);
-              ("on_s", num !t_on);
-              ("overhead_ratio", num overhead_ratio);
-            ] );
-        ("audit", Zobs.Json.Arr (List.map row_json rows));
-      ]
-
-(* --check-ledger gate: every gated audit row must sit inside its
-   documented band (the bands live in Costmodel.Model.zaatar_op_audit and
-   are documented in DESIGN.md §12). Informational rows never fail it. *)
-let check_ledger () =
-  match !ledger_audit_rows with
-  | [] ->
-    Printf.eprintf "--check-ledger: the profile experiment did not run\n";
-    exit 1
-  | rows ->
-    let breaches =
-      List.filter (fun (r : Costmodel.Model.audit_row) -> r.gated && not r.pass) rows
-    in
-    if breaches <> [] then begin
-      List.iter
-        (fun (r : Costmodel.Model.audit_row) ->
-          Printf.eprintf "--check-ledger: %s/%s ratio %.3f outside [%.2f, %.2f] (%s)\n" r.phase
-            r.op r.ratio r.lo r.hi r.note)
-        breaches;
-      exit 1
-    end;
-    (* Allocation gate: ceilings on words/op for the hot-path kernels (from
-       the alloc experiment). The packed butterfly must stay allocation
-       free; the boxed field mults allocate their result nat and nothing
-       else, with headroom for GC accounting noise. *)
-    (* prg.field: the byte<->limb boundary (DESIGN.md §17) — 5.76
-       words/op, ceiling ~10% above. elgamal.encrypt, now the key owner's
-       two-power form, and pcp.gen_queries per query element: verifier
-       set-up (DESIGN.md §18) — 138.8 and 0.95 words/op, ceilings ~10%
-       above (the former ceiling for encrypt was 380). *)
-    let alloc_bands =
-      [
-        ("fp.mul", 120.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0); ("prg.field", 6.3);
-        ("elgamal.encrypt", 153.0); ("pcp.gen_queries", 1.05);
-      ]
-    in
-    List.iter
-      (fun (kernel, ceiling) ->
-        match List.assoc_opt kernel !alloc_rows with
-        | None ->
-          Printf.eprintf "--check-ledger: the alloc experiment has no %s row\n" kernel;
-          exit 1
-        | Some words ->
-          if words > ceiling then begin
-            Printf.eprintf "--check-ledger: %s allocates %.1f words/op (ceiling %.1f)\n" kernel
-              words ceiling;
-            exit 1
-          end)
-      alloc_bands;
-    Printf.printf
-      "--check-ledger OK: every gated op ratio inside its band; hot-path words/op under ceilings\n"
-
-(* --baseline gate: diff this run against a committed BENCH_baseline.json
-   (refresh with `dune exec bench/main.exe -- model wire lint profile
-   --json BENCH_baseline.json`). Wire bytes are deterministic for a fixed
-   configuration, so the network section must match exactly; lint finding
-   counts are deterministic too, while analyzer seconds and model deltas
-   are wall-clock and may drift by at most [drift]x either way. *)
-let baseline_diff ~drift path cfg =
-  let failed = ref false in
-  let err fmt =
-    Printf.ksprintf
-      (fun s ->
-        failed := true;
-        Printf.eprintf "baseline: %s\n" s)
-      fmt
+  (* The audit run's per-phase op vector is seed-deterministic, so
+     --baseline holds every op count exactly. Seconds and GC words are
+     wall-clock/runtime-version dependent and are not compared. *)
+  let ledger (name, (p : Zobs.Ledger.phase)) =
+    let at k = "ledger." ^ name ^ "." ^ k in
+    [
+      Metric.info (at "seconds") p.Zobs.Ledger.seconds;
+      Metric.info (at "calls") (float_of_int p.Zobs.Ledger.calls);
+    ]
+    @ Metric.of_json Metric.exact (at "ops") (Zobs.Ledger.json_of_ops p.Zobs.Ledger.ops)
+    @ Metric.of_json Metric.info (at "gc") (Zobs.Ledger.json_of_gc p.Zobs.Ledger.gc)
   in
-  let base =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    try Zobs.Json.parse s
-    with _ ->
-      Printf.eprintf "baseline: %s does not parse as JSON\n" path;
-      exit 1
-  in
-  let jnum j k = Option.bind (Zobs.Json.member k j) Zobs.Json.to_num in
-  (* The configuration must match, or byte-exact comparison is
-     meaningless. *)
-  (match Zobs.Json.member "config" base with
-  | None -> err "%s has no config section" path
-  | Some bc ->
-    List.iter
-      (fun (k, v) ->
-        match jnum bc k with
-        | Some b when int_of_float b = v -> ()
-        | Some b -> err "config mismatch: %s = %d here, %d in baseline" k v (int_of_float b)
-        | None -> err "config key %s missing from baseline" k)
-      [
-        ("field_bits", Nat.num_bits cfg.field);
-        ("rho", cfg.rho);
-        ("rho_lin", cfg.rho_lin);
-        ("p_bits", cfg.p_bits);
-        ("batch", cfg.batch);
-        ("scale", cfg.scale);
-      ];
-    (match Zobs.Json.member "quick" bc with
-    | Some (Zobs.Json.Bool b) when b = cfg.quick -> ()
-    | Some (Zobs.Json.Bool b) -> err "config mismatch: quick = %b here, %b in baseline" cfg.quick b
-    | _ -> err "config key quick missing from baseline"));
-  (* Network: deterministic, compared exactly. *)
-  (match (Zobs.Json.member "network" base, !wire_section) with
-  | None, Zobs.Json.Null -> err "neither run has a network section (run the wire experiment)"
-  | None, _ -> err "%s has no network section — refresh the baseline" path
-  | Some _, Zobs.Json.Null -> err "this run has no network section (wire experiment did not run)"
-  | Some bn, cn ->
-    let check_counts ctx b c =
-      List.iter
-        (fun k ->
-          match (jnum b k, jnum c k) with
-          | Some bv, Some cv when bv = cv -> ()
-          | Some bv, Some cv ->
-            err "network%s.%s: %d here, %d in baseline" ctx k (int_of_float cv) (int_of_float bv)
-          | _ -> err "network%s.%s missing" ctx k)
-    in
-    check_counts "" bn cn [ "bytes_sent"; "bytes_recv"; "msgs" ];
-    (match (Zobs.Json.member "per_phase" bn, Zobs.Json.member "per_phase" cn) with
-    | Some bp, Some cp ->
-      List.iter
-        (fun ph ->
-          match (Zobs.Json.member ph bp, Zobs.Json.member ph cp) with
-          | Some b, Some c -> check_counts ("." ^ ph) b c [ "sent"; "recv"; "msgs" ]
-          | _ -> err "network.per_phase.%s missing" ph)
-        wire_phases
-    | _ -> err "network.per_phase missing"));
-  (* Farm: client count, frames/session, cache hit/miss counts, the
-     warm-session construction count (must stay 0) and transcript
-     identity are deterministic and compared exactly; the speedup over
-     one session at a time is wall-clock and held to the drift band. *)
-  (match (Zobs.Json.member "farm" base, !farm_section) with
-  | None, Zobs.Json.Null -> err "neither run has a farm section (run the farm experiment)"
-  | None, _ -> err "%s has no farm section — refresh the baseline" path
-  | Some _, Zobs.Json.Null -> err "this run has no farm section (farm experiment did not run)"
-  | Some bf, cf ->
-    List.iter
-      (fun k ->
-        match (jnum bf k, jnum cf k) with
-        | Some bv, Some cv when bv = cv -> ()
-        | Some bv, Some cv ->
-          err "farm.%s: %d here, %d in baseline" k (int_of_float cv) (int_of_float bv)
-        | _ -> err "farm.%s missing" k)
-      [ "clients"; "frames_per_session"; "cache_hits"; "cache_misses"; "warm_qap_constructions" ];
-    (match Zobs.Json.member "transcripts_identical" cf with
-    | Some (Zobs.Json.Bool true) -> ()
-    | _ -> err "farm.transcripts_identical is not true");
-    (match (jnum bf "speedup", jnum cf "speedup") with
-    | Some b, Some c ->
-      let d = c /. b in
-      if d > drift || d < 1.0 /. drift || Float.is_nan d then
-        err "farm.speedup: %.2fx vs. baseline %.2fx drifts beyond %gx" c b drift
-    | _ -> err "farm.speedup missing"));
-  (* Zscope overhead: an absolute band, not a drift band — the recorder
-     and sampler must cost at most (band-1) of the uninstrumented farm's
-     sessions/sec on every gated run. *)
-  (match (Zobs.Json.member "obs_overhead" base, !obs_section) with
-  | None, Zobs.Json.Null ->
-    err "neither run has an obs_overhead section (run the obs-overhead experiment)"
-  | None, _ -> err "%s has no obs_overhead section — refresh the baseline" path
-  | Some _, Zobs.Json.Null ->
-    err "this run has no obs_overhead section (obs-overhead experiment did not run)"
-  | Some _, cf -> (
-    match jnum cf "overhead_ratio" with
-    | Some r ->
-      if r > obs_overhead_band || Float.is_nan r then
-        err "obs_overhead: recorder+sampler cost %.1f%% of sessions/sec (band %.0f%%)"
-          ((r -. 1.0) *. 100.0)
-          ((obs_overhead_band -. 1.0) *. 100.0)
-    | None -> err "obs_overhead.overhead_ratio missing"));
-  (* Model: wall-clock, so each phase's measured/predicted delta may move,
-     but only within [1/drift, drift] of the committed delta. *)
-  (match Zobs.Json.member "model" base with
-  | None -> if !model_rows <> [] then err "%s has no model section — refresh the baseline" path
-  | Some bm ->
-    if !model_rows = [] then err "this run has no model section (model experiment did not run)"
-    else begin
-      let bapps =
-        match Option.bind (Zobs.Json.member "apps" bm) Zobs.Json.to_arr with
-        | Some l -> l
-        | None -> []
-      in
-      let baseline_delta name ph =
-        List.find_map
-          (fun app ->
-            match Option.bind (Zobs.Json.member "name" app) Zobs.Json.to_str with
-            | Some n when n = name ->
-              Option.bind (Zobs.Json.member "phases" app) (fun phs ->
-                  Option.bind (Zobs.Json.member ph phs) (fun p -> jnum p "delta"))
-            | _ -> None)
-          bapps
-      in
-      List.iter
-        (fun (name, phases) ->
-          List.iter
-            (fun (ph, predicted, measured) ->
-              let cur = measured /. predicted in
-              match baseline_delta name ph with
-              | None -> err "model %s/%s missing from baseline" name ph
-              | Some b ->
-                let d = cur /. b in
-                if d > drift || d < 1.0 /. drift || Float.is_nan d then
-                  err "model %s/%s: delta %.2fx vs. baseline %.2fx drifts beyond %gx" name ph
-                    cur b drift)
-            phases)
-        !model_rows
-    end);
-  (* Lint: finding counts are deterministic (compared exactly); analyzer
-     seconds are wall-clock and gated by the same drift band as the model. *)
-  (match (Zobs.Json.member "lint" base, !lint_section) with
-  | None, Zobs.Json.Null -> err "neither run has a lint section (run the lint experiment)"
-  | None, _ -> err "%s has no lint section — refresh the baseline" path
-  | Some _, Zobs.Json.Null -> err "this run has no lint section (lint experiment did not run)"
-  | Some bl, cl ->
-    List.iter
-      (fun k ->
-        match (jnum bl k, jnum cl k) with
-        | Some bv, Some cv when bv = cv -> ()
-        | Some bv, Some cv ->
-          err "lint.%s: %d here, %d in baseline" k (int_of_float cv) (int_of_float bv)
-        | _ -> err "lint.%s missing" k)
-      [ "errors"; "warnings"; "info" ];
-    let apps_of j =
-      match Option.bind (Zobs.Json.member "apps" j) Zobs.Json.to_arr with
-      | Some l ->
-        List.filter_map
-          (fun a ->
-            match Option.bind (Zobs.Json.member "name" a) Zobs.Json.to_str with
-            | Some n -> Some (n, a)
-            | None -> None)
-          l
-      | None -> []
-    in
-    let bapps = apps_of bl in
-    List.iter
-      (fun (name, capp) ->
-        match List.assoc_opt name bapps with
-        | None -> err "lint app %s missing from baseline" name
-        | Some bapp ->
-          (match (jnum bapp "findings", jnum capp "findings") with
-          | Some bv, Some cv when bv = cv -> ()
-          | Some bv, Some cv ->
-            err "lint %s: %d finding(s) here, %d in baseline" name (int_of_float cv)
-              (int_of_float bv)
-          | _ -> err "lint %s finding count missing" name);
-          (match (jnum bapp "rows", jnum capp "rows") with
-          | Some bv, Some cv when bv = cv -> ()
-          | Some bv, Some cv ->
-            err "lint %s: %d row(s) here, %d in baseline" name (int_of_float cv)
-              (int_of_float bv)
-          | _ -> err "lint %s row count missing" name);
-          (match (jnum bapp "backend_s", jnum capp "backend_s") with
-          | Some b, Some c ->
-            let d = c /. b in
-            if d > drift || Float.is_nan d then
-              err "lint %s: analyzer %.4fs vs. baseline %.4fs drifts beyond %gx" name c b drift
-          | _ -> err "lint %s backend_s missing" name))
-      (apps_of cl));
-  (* Exec: the interpreter's pinned/defaulted counts and the fuzz
-     campaign's discrepancy count are seed-deterministic (compared
-     exactly); interpreter seconds get the drift band. *)
-  (match (Zobs.Json.member "exec" base, !exec_section) with
-  | None, Zobs.Json.Null -> err "neither run has an exec section (run the exec experiment)"
-  | None, _ -> err "%s has no exec section — refresh the baseline" path
-  | Some _, Zobs.Json.Null -> err "this run has no exec section (exec experiment did not run)"
-  | Some bx, cx ->
-    (match
-       ( Option.bind (Zobs.Json.member "fuzz" bx) (fun f -> jnum f "discrepancies"),
-         Option.bind (Zobs.Json.member "fuzz" cx) (fun f -> jnum f "discrepancies") )
-     with
-    | Some bv, Some cv when bv = cv -> ()
-    | Some bv, Some cv ->
-      err "exec fuzz: %d discrepancy(ies) here, %d in baseline" (int_of_float cv)
-        (int_of_float bv)
-    | _ -> err "exec fuzz discrepancy count missing");
-    let apps_of j =
-      match Option.bind (Zobs.Json.member "apps" j) Zobs.Json.to_arr with
-      | Some l ->
-        List.filter_map
-          (fun a ->
-            match Option.bind (Zobs.Json.member "name" a) Zobs.Json.to_str with
-            | Some n -> Some (n, a)
-            | None -> None)
-          l
-      | None -> []
-    in
-    let bapps = apps_of bx in
-    List.iter
-      (fun (name, capp) ->
-        match List.assoc_opt name bapps with
-        | None -> err "exec app %s missing from baseline" name
-        | Some bapp ->
-          List.iter
-            (fun k ->
-              match (jnum bapp k, jnum capp k) with
-              | Some bv, Some cv when bv = cv -> ()
-              | Some bv, Some cv ->
-                err "exec %s: %s = %d here, %d in baseline" name k (int_of_float cv)
-                  (int_of_float bv)
-              | _ -> err "exec %s: %s missing" name k)
-            [ "rows"; "pinned"; "defaulted" ];
-          (match (jnum bapp "interp_s", jnum capp "interp_s") with
-          | Some b, Some c ->
-            let d = c /. b in
-            if d > drift || Float.is_nan d then
-              err "exec %s: interpreter %.4fs vs. baseline %.4fs drifts beyond %gx" name c b
-                drift
-          | _ -> err "exec %s: interp_s missing" name))
-      (apps_of cx));
-  (* Ledger: the audit run's per-phase op vector is seed-deterministic, so
-     every op count must match the baseline exactly. Seconds and GC words
-     are wall-clock/runtime-version dependent and are not compared. *)
-  (match (Zobs.Json.member "ledger" base, !ledger_section) with
-  | None, Zobs.Json.Null -> err "neither run has a ledger section (run the profile experiment)"
-  | None, _ -> err "%s has no ledger section — refresh the baseline" path
-  | Some _, Zobs.Json.Null -> err "this run has no ledger section (profile experiment did not run)"
-  | Some bl, cur ->
-    let phases_of = function
-      | Zobs.Json.Obj fields -> fields
-      | _ -> []
-    in
-    List.iter
-      (fun (phase, cph) ->
-        match Zobs.Json.member phase bl with
-        | None -> err "ledger phase %s missing from baseline" phase
-        | Some bph -> (
-          match (Zobs.Json.member "ops" bph, Zobs.Json.member "ops" cph) with
-          | Some (Zobs.Json.Obj bops), Some (Zobs.Json.Obj cops) ->
-            List.iter
-              (fun (op, cv) ->
-                match (List.assoc_opt op bops, cv) with
-                | Some (Zobs.Json.Num bv), Zobs.Json.Num cv when bv = cv -> ()
-                | Some (Zobs.Json.Num bv), Zobs.Json.Num cv ->
-                  err "ledger %s.%s: %d op(s) here, %d in baseline" phase op (int_of_float cv)
-                    (int_of_float bv)
-                | _ -> err "ledger %s.%s missing from baseline" phase op)
-              cops
-          | _ -> err "ledger phase %s has no ops" phase))
-      (phases_of cur));
-  if !failed then exit 1
-  else
-    Printf.printf
-      "baseline check OK against %s: network bytes and ledger ops identical, lint and exec \
-       counts identical, model/lint/exec timings within %gx\n%!"
-      path drift
+  [
+    overhead "len" (float_of_int len);
+    overhead "domains" (float_of_int domains);
+    overhead "off_s" !t_off;
+    overhead "on_s" !t_on;
+    overhead "overhead_ratio" overhead_ratio;
+  ]
+  @ List.concat_map audit rows
+  @ List.concat_map ledger (Zobs.Ledger.phases ())
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let none run cfg =
+  run cfg;
+  []
+
+(* Every experiment, once, in "all" order (paper-figure order; micro
+   first: later figures reuse its measured constants), with the gate flags
+   whose metrics it supplies — an armed flag pulls it into the run.
+   Refresh BENCH_baseline.json (default config, non-quick) with the
+   seven --baseline needs: `dune exec bench/main.exe -- model wire farm
+   obs-overhead lint exec profile --json BENCH_baseline.json`. *)
+let experiments : (string * Metric.gate list * (cfg -> Metric.t list)) list =
+  let open Metric in
+  [
+    ("micro", [], none run_micro); ("bechamel", [], none run_bechamel); ("fig9", [], none run_fig9);
+    ("model", [ Baseline; Check_model ], run_model); ("fig4", [], none run_fig4);
+    ("fig5", [], none run_fig5); ("fig7", [], none run_fig7); ("fig8", [], none run_fig8);
+    ("fig6", [], none run_fig6); ("baseline", [], none run_baseline);
+    ("soundness", [], none run_soundness); ("ablation", [], none run_ablation);
+    ("ntt-vs-lagrange", [], run_ntt_vs_lagrange); ("multiexp", [], run_multiexp);
+    ("wire", [ Baseline ], run_wire); ("farm", [ Baseline ], run_farm);
+    ("obs-overhead", [ Baseline ], run_obs_overhead); ("lint", [ Baseline ], run_lint);
+    ("exec", [ Baseline ], run_exec); ("alloc", [ Check_ledger ], run_alloc);
+    ("profile", [ Baseline; Check_ledger ], run_profile);
+  ]
+
 let usage () =
+  Printf.printf "usage: bench [all|%s]\n" (String.concat "|" (List.map (fun (n, _, _) -> n) experiments));
   print_endline
-    "usage: bench [all|micro|bechamel|model|baseline|fig4|fig5|fig6|fig7|fig8|fig9|soundness|ablation|ntt-vs-lagrange|multiexp|wire|farm|obs-overhead|lint|exec|alloc|profile]\n\
-    \       [--scale N] [--batch N] [--pbits N] [--paper-params] [--quick] [--domains N]\n\
+    "       [--scale N] [--batch N] [--pbits N] [--paper-params] [--quick] [--domains N]\n\
     \       [--qap-backend auto|ntt|lagrange]\n\
     \       [--trace OUT.json] [--metrics] [--json OUT.json]\n\
     \       [--check-model] [--model-band LO:HI] [--check-ledger] [--baseline FILE] [--drift X]\n\
     \       [--history FILE.jsonl] [--trend N]";
   exit 2
 
-(* "all" in paper-figure order (micro first: later figures reuse its
-   measured constants). *)
-let all_experiments =
-  [ "micro"; "bechamel"; "fig9"; "model"; "fig4"; "fig5"; "fig7"; "fig8"; "fig6"; "baseline";
-    "soundness"; "ablation"; "ntt-vs-lagrange"; "multiexp"; "wire"; "farm"; "obs-overhead";
-    "lint"; "exec"; "alloc"; "profile" ]
+let read_json path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Zobs.Json.parse s
 
-(* Machine-readable run summary (BENCH_run.json): configuration,
-   per-experiment wall times, and the Zobs counter/histogram/span totals
-   accumulated across the run. Written with the in-house Zobs.Json writer
-   and parsed back with its parser as a self-check — scripts/ci.sh greps
-   for the "parsed back OK" line. *)
-let summary_json cfg (experiments : (string * float) list) : Zobs.Json.t =
+(* Machine-readable run summary (BENCH_run.json): configuration, every
+   metric nested by path (experiment wall times under "experiments"), and
+   the Zobs counter/histogram/span totals accumulated across the run.
+   Written with the in-house Zobs.Json writer and parsed back with its
+   parser as a self-check — scripts/ci.sh greps for the "parsed back OK"
+   line. *)
+let write_summary cfg path metrics =
   let open Zobs.Json in
-  let num x = Num x and int n = Num (float_of_int n) in
-  let config =
-    Obj
-      [
-        ("field_bits", int (Nat.num_bits cfg.field));
-        ("rho", int cfg.rho);
-        ("rho_lin", int cfg.rho_lin);
-        ("p_bits", int cfg.p_bits);
-        ("batch", int cfg.batch);
-        ("scale", int cfg.scale);
-        ("quick", Bool cfg.quick);
-        ("qap_backend", Str (Qapb.backend_to_string cfg.qap_backend));
-      ]
-  in
-  let experiments =
-    Arr
-      (List.map
-         (fun (name, wall) -> Obj [ ("name", Str name); ("wall_s", num wall) ])
-         experiments)
-  in
+  let int n = Num (float_of_int n) in
   let counters = Obj (List.map (fun (n, v) -> (n, int v)) (Zobs.Registry.counter_values ())) in
   (* Histograms that never recorded a sample render as noise (an empty
      array per registered name, backend-dependent); omit them, matching
@@ -2386,90 +1896,46 @@ let summary_json cfg (experiments : (string * float) list) : Zobs.Json.t =
              [
                ("name", Str name);
                ("count", int s.Zobs.Span.count);
-               ("total_s", num s.Zobs.Span.total);
-               ("exclusive_s", num s.Zobs.Span.exclusive);
+               ("total_s", Num s.Zobs.Span.total);
+               ("exclusive_s", Num s.Zobs.Span.exclusive);
              ])
          (Zobs.Span.totals ()))
   in
-  let multiexp =
-    match !multiexp_section with Null -> [] | m -> [ ("multiexp", m) ]
-  in
-  let ntt_vs_lagrange =
-    match !ntt_section with Null -> [] | m -> [ ("ntt_vs_lagrange", m) ]
-  in
-  let network = match !wire_section with Null -> [] | m -> [ ("network", m) ] in
-  let farm = match !farm_section with Null -> [] | m -> [ ("farm", m) ] in
-  let obs = match !obs_section with Null -> [] | m -> [ ("obs_overhead", m) ] in
-  let model = match !model_section with Null -> [] | m -> [ ("model", m) ] in
-  let lint = match !lint_section with Null -> [] | m -> [ ("lint", m) ] in
-  let exec = match !exec_section with Null -> [] | m -> [ ("exec", m) ] in
-  let alloc = match !alloc_section with Null -> [] | m -> [ ("alloc", m) ] in
-  let profile = match !profile_section with Null -> [] | m -> [ ("profile", m) ] in
-  let ledger = match !ledger_section with Null -> [] | m -> [ ("ledger", m) ] in
-  Obj
-    ([
-       ("schema", Str "zaatar-bench-run/1");
-       ("config", config);
-       ("experiments", experiments);
-     ]
-    @ multiexp @ ntt_vs_lagrange @ network @ farm @ obs @ model @ lint @ exec @ alloc @ profile
-    @ ledger
-    @ [ ("counters", counters); ("histograms", histograms); ("spans", spans) ])
-
-let write_summary cfg path experiments =
   let oc = open_out path in
-  output_string oc (Zobs.Json.to_string (summary_json cfg experiments));
+  output_string oc
+    (to_string
+       (Obj
+          ([ ("schema", Str "zaatar-bench-run/2"); ("config", config_json cfg) ]
+          @ Metric.to_json metrics
+          @ [ ("counters", counters); ("histograms", histograms); ("spans", spans) ])));
   output_char oc '\n';
   close_out oc;
   (* Round-trip self-check through our own parser. *)
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Zobs.Json.(member "experiments" (parse s)) with
-  | Some (Zobs.Json.Arr l) ->
-    Printf.printf "\nBENCH summary: wrote %s (%d experiment(s); parsed back OK)\n" path (List.length l)
-  | _ ->
+  match member "experiments" (read_json path) with
+  | exception Parse_error _ ->
     Printf.eprintf "BENCH summary: %s failed to parse back\n" path;
     exit 1
+  | e ->
+    let n = match e with Some (Obj l) -> List.length l | _ -> 0 in
+    Printf.printf "\nBENCH summary: wrote %s (%d experiment(s); parsed back OK)\n" path n
 
 (* BENCH_history.jsonl: one line per gated run (--check-model,
    --check-ledger or --baseline), appended before the gates execute so a
-   breach still leaves its evidence behind. scripts/ci.sh prints the
-   last-N trend with --trend. *)
-
-let deep j keys =
-  List.fold_left (fun acc k -> Option.bind acc (Zobs.Json.member k)) (Some j) keys
-
-let dnum j keys = Option.bind (deep j keys) Zobs.Json.to_num
-
-let append_history cfg path (experiments : (string * float) list) =
+   breach still leaves its evidence behind: configuration, experiment
+   wall times, the op ledger, alloc counts and the ledger overhead.
+   scripts/ci.sh prints the last-N trend with --trend. *)
+let append_history cfg path metrics =
   let open Zobs.Json in
-  let num x = Num x and int n = Num (float_of_int n) in
+  let kept (m : Metric.t) =
+    match Metric.keys m.path with
+    | ("experiments" | "ledger" | "alloc") :: _ -> Some m
+    | [ "profile"; "overhead"; "overhead_ratio" ] -> Some { m with path = "overhead_ratio" }
+    | _ -> None
+  in
   let line =
     Obj
-      ([
-         ("ts", num (Unix.time ()));
-         ( "config",
-           Obj
-             [
-               ("field_bits", int (Nat.num_bits cfg.field));
-               ("rho", int cfg.rho);
-               ("rho_lin", int cfg.rho_lin);
-               ("p_bits", int cfg.p_bits);
-               ("batch", int cfg.batch);
-               ("scale", int cfg.scale);
-               ("quick", Bool cfg.quick);
-             ] );
-         ("experiments", Obj (List.map (fun (n, w) -> (n, num w)) experiments));
-       ]
-      @ (match !ledger_section with Null -> [] | l -> [ ("ledger", l) ])
-      @ (match !alloc_section with Null -> [] | a -> [ ("alloc", a) ])
-      @
-      match
-        match !profile_section with Null -> None | p -> dnum p [ "overhead"; "overhead_ratio" ]
-      with
-      | None -> []
-      | Some r -> [ ("overhead_ratio", num r) ])
+      ([ ("ts", Num (Unix.time ())); ("config", config_json cfg) ]
+      @ Metric.to_json (List.filter_map kept metrics))
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   output_string oc (to_string line);
@@ -2501,7 +1967,7 @@ let print_trend path n =
       | exception _ -> Printf.printf "  (unparseable line)\n"
       | j ->
         let when_ =
-          match dnum j [ "ts" ] with
+          match Metric.lookup j "ts" with
           | None -> "-"
           | Some ts ->
             let tm = Unix.localtime ts in
@@ -2510,20 +1976,18 @@ let print_trend path n =
         in
         let show fmt = function None -> "-" | Some v -> Printf.sprintf fmt v in
         Printf.printf "  %-17s %6s %10s %10s %13s %9s\n" when_
-          (show "%.0f" (dnum j [ "config"; "batch" ]))
-          (show "%.4f" (dnum j [ "ledger"; "crypto_ops"; "seconds" ]))
-          (show "%.4f" (dnum j [ "ledger"; "verifier_setup"; "seconds" ]))
-          (show "%.0f" (dnum j [ "ledger"; "construct_u"; "ops"; "f" ]))
-          (show "%.3fx" (dnum j [ "overhead_ratio" ])))
+          (show "%.0f" (Metric.lookup j "config.batch"))
+          (show "%.4f" (Metric.lookup j "ledger.crypto_ops.seconds"))
+          (show "%.4f" (Metric.lookup j "ledger.verifier_setup.seconds"))
+          (show "%.0f" (Metric.lookup j "ledger.construct_u.ops.f"))
+          (show "%.3fx" (Metric.lookup j "overhead_ratio")))
     last
 
 let () =
   let cfg = ref default_cfg in
   let targets = ref [] in
-  let trace = ref None and metrics = ref false and json = ref "BENCH_run.json" in
-  let check = ref false and band = ref (0.2, 5.0) in
-  let baseline = ref None and drift = ref 4.0 in
-  let check_ledger_flag = ref false in
+  let trace = ref None and telemetry = ref false and json = ref "BENCH_run.json" in
+  let model_flag = ref false and ledger_flag = ref false and baseline = ref None in
   let history = ref "BENCH_history.jsonl" and trend = ref None in
   let args = Array.to_list Sys.argv |> List.tl in
   (* Flag validation: a typo'd value dies with a clear message instead of
@@ -2535,6 +1999,7 @@ let () =
       Printf.eprintf "%s expects a positive integer, got %S\n" flag v;
       exit 2
   in
+  let set_arg f = cfg := { !cfg with arg = f !cfg.arg } in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
@@ -2544,21 +2009,20 @@ let () =
       cfg := { !cfg with batch = pos_int "--batch" v };
       parse rest
     | "--pbits" :: v :: rest ->
-      cfg := { !cfg with p_bits = pos_int "--pbits" v };
+      set_arg (fun a -> { a with p_bits = pos_int "--pbits" v });
       parse rest
     | "--paper-params" :: rest ->
-      let pp = Pcp.Pcp_zaatar.paper_params in
-      cfg := { !cfg with rho = pp.rho; rho_lin = pp.rho_lin; p_bits = 1024 };
+      set_arg (fun a -> { a with params = Pcp.Pcp_zaatar.paper_params; p_bits = 1024 });
       parse rest
     | "--quick" :: rest ->
       cfg := { !cfg with quick = true };
       parse rest
     | "--domains" :: v :: rest ->
-      cfg := { !cfg with domains = pos_int "--domains" v };
+      set_arg (fun a -> { a with domains = pos_int "--domains" v });
       parse rest
     | "--qap-backend" :: v :: rest ->
       (match Qapb.backend_of_string v with
-      | Some b -> cfg := { !cfg with qap_backend = b }
+      | Some b -> set_arg (fun a -> { a with qap_backend = b })
       | None ->
         Printf.eprintf "--qap-backend expects auto|ntt|lagrange, got %S\n" v;
         exit 2);
@@ -2567,19 +2031,19 @@ let () =
       trace := Some v;
       parse rest
     | "--metrics" :: rest ->
-      metrics := true;
+      telemetry := true;
       parse rest
     | "--json" :: v :: rest ->
       json := v;
       parse rest
     | "--check-model" :: rest ->
-      check := true;
+      model_flag := true;
       parse rest
     | "--model-band" :: v :: rest ->
       (match String.split_on_char ':' v with
       | [ lo; hi ] -> (
         match (float_of_string_opt lo, float_of_string_opt hi) with
-        | Some lo, Some hi when lo > 0.0 && hi > lo -> band := (lo, hi)
+        | Some lo, Some hi when lo > 0.0 && hi > lo -> cfg := { !cfg with model_band = (lo, hi) }
         | _ ->
           Printf.eprintf "--model-band expects LO:HI with 0 < LO < HI, got %S\n" v;
           exit 2)
@@ -2588,7 +2052,7 @@ let () =
         exit 2);
       parse rest
     | "--check-ledger" :: rest ->
-      check_ledger_flag := true;
+      ledger_flag := true;
       parse rest
     | "--history" :: v :: rest ->
       history := v;
@@ -2601,7 +2065,7 @@ let () =
       parse rest
     | "--drift" :: v :: rest ->
       (match float_of_string_opt v with
-      | Some d when d > 1.0 -> drift := d
+      | Some d when d > 1.0 -> cfg := { !cfg with drift = d }
       | _ ->
         Printf.eprintf "--drift expects a factor > 1, got %S\n" v;
         exit 2);
@@ -2618,79 +2082,88 @@ let () =
     print_trend !history n;
     exit 0
   | None -> ());
+  let names = List.map (fun (n, _, _) -> n) experiments in
   let targets = if !targets = [] then [ "all" ] else List.rev !targets in
-  let targets = List.concat_map (fun t -> if t = "all" then all_experiments else [ t ]) targets in
-  (* The gates need their experiments to have run: --check-model and
-     --baseline pull in model, --baseline also pulls in wire and lint,
-     --check-ledger and --baseline pull in profile. *)
+  let targets = List.concat_map (fun t -> if t = "all" then names else [ t ]) targets in
+  List.iter
+    (fun t ->
+      if not (List.mem t names) then begin
+        Printf.eprintf "unknown experiment %S\n" t;
+        usage ()
+      end)
+    targets;
+  (* The gates need their experiments to have run. *)
+  let gates =
+    List.concat
+      [
+        (if !model_flag then [ Metric.Check_model ] else []);
+        (if !ledger_flag then [ Metric.Check_ledger ] else []);
+        (if !baseline <> None then [ Metric.Baseline ] else []);
+      ]
+  in
   let targets =
-    let need =
-      (if !check || !baseline <> None then [ "model" ] else [])
-      @ (if !baseline <> None then [ "wire" ] else [])
-      @ (if !baseline <> None then [ "farm" ] else [])
-      @ (if !baseline <> None then [ "obs-overhead" ] else [])
-      @ (if !baseline <> None then [ "lint" ] else [])
-      @ (if !baseline <> None then [ "exec" ] else [])
-      @ (if !check_ledger_flag || !baseline <> None then [ "profile" ] else [])
-      @ if !check_ledger_flag then [ "alloc" ] else []
-    in
-    targets @ List.filter (fun t -> not (List.mem t targets)) need
+    targets
+    @ List.filter_map
+        (fun (n, needs, _) ->
+          if List.exists (fun g -> List.mem g gates) needs && not (List.mem n targets) then Some n
+          else None)
+        experiments
   in
   let cfg = !cfg in
+  let base =
+    Option.map
+      (fun p ->
+        try read_json p
+        with _ ->
+          Printf.eprintf "baseline: %s cannot be read as JSON\n" p;
+          exit 1)
+      !baseline
+  in
   (* The bench always traces: the JSON summary reports counter and span
      totals, and --trace/--metrics only choose extra output forms. *)
   Zobs.enable ();
   Printf.printf
     "zaatar bench: field = %d bits, rho = %d, rho_lin = %d, group = %d bits, batch = %d, scale = %d, qap = %s\n"
-    (Nat.num_bits cfg.field) cfg.rho cfg.rho_lin cfg.p_bits cfg.batch cfg.scale
-    (Qapb.backend_to_string cfg.qap_backend);
-  let run = function
-    | "micro" -> run_micro cfg
-    | "bechamel" -> run_bechamel cfg
-    | "model" -> run_model cfg
-    | "fig4" -> run_fig4 cfg
-    | "fig5" -> run_fig5 cfg
-    | "fig6" -> run_fig6 cfg
-    | "fig7" -> run_fig7 cfg
-    | "fig8" -> run_fig8 cfg
-    | "fig9" -> run_fig9 cfg
-    | "baseline" -> run_baseline cfg
-    | "soundness" -> run_soundness cfg
-    | "ablation" -> run_ablation cfg
-    | "ntt-vs-lagrange" -> run_ntt_vs_lagrange cfg
-    | "multiexp" -> run_multiexp cfg
-    | "wire" -> run_wire cfg
-    | "farm" -> run_farm cfg
-    | "obs-overhead" -> run_obs_overhead cfg
-    | "lint" -> run_lint cfg
-    | "exec" -> run_exec cfg
-    | "alloc" -> run_alloc cfg
-    | "profile" -> run_profile cfg
-    | t ->
-      Printf.eprintf "unknown experiment %S\n" t;
-      usage ()
+    (Nat.num_bits cfg.field) cfg.arg.params.rho cfg.arg.params.rho_lin cfg.arg.p_bits cfg.batch
+    cfg.scale
+    (Qapb.backend_to_string cfg.arg.qap_backend);
+  (* An experiment that cannot go on raises; the run stops there, and the
+     summary still holds everything measured before it. *)
+  let rec run_all acc = function
+    | [] -> (acc, false)
+    | name :: rest -> (
+      let _, _, run = List.find (fun (n, _, _) -> n = name) experiments in
+      match time_thunk (fun () -> run cfg) with
+      | ms, wall -> run_all (acc @ (Metric.info ("experiments." ^ name) wall :: ms)) rest
+      | exception Failure msg ->
+        prerr_endline msg;
+        (acc, true))
   in
-  let timed_experiments =
-    List.map
-      (fun name ->
-        let (), wall = time_thunk (fun () -> run name) in
-        (name, wall))
-      targets
-  in
-  write_summary cfg !json timed_experiments;
-  (* Gated runs leave a history line (config, per-phase seconds, op ledger,
-     alloc counts) even when a gate then fails. *)
-  if !check || !check_ledger_flag || !baseline <> None then
-    append_history cfg !history timed_experiments;
+  let metrics, failed = run_all [] targets in
+  write_summary cfg !json metrics;
+  if gates <> [] then append_history cfg !history metrics;
   (match !trace with
   | Some path ->
     Zobs.write_chrome_trace path;
     Printf.printf "wrote %s (chrome trace; load in chrome://tracing or ui.perfetto.dev)\n" path
   | None -> ());
-  if !metrics then Format.printf "@.== telemetry ==@.%a" Zobs.report ();
+  if !telemetry then Format.printf "@.== telemetry ==@.%a" Zobs.report ();
   (* Gates last: the summary, trace and telemetry are already on disk for
      diagnosis when a gate exits non-zero. *)
-  if !check then check_model !band;
-  if !check_ledger_flag then check_ledger ();
-  (match !baseline with Some p -> baseline_diff ~drift:!drift p cfg | None -> ());
+  let breaches = Metric.breaches ?baseline:base ~gates ~config:(config_json cfg) metrics in
+  flush stdout;
+  List.iter (fun (_, msg) -> prerr_endline msg) breaches;
+  let ok g = List.mem g gates && not (List.exists (fun (g', _) -> g' = g) breaches) in
+  if ok Metric.Check_model then
+    Printf.printf "\ncost model check OK: all deltas within [%.2f, %.2f]\n%!" (fst cfg.model_band)
+      (snd cfg.model_band);
+  if ok Metric.Check_ledger then
+    Printf.printf
+      "--check-ledger OK: every gated op ratio inside its band; hot-path words/op under ceilings\n";
+  if ok Metric.Baseline then
+    Printf.printf
+      "baseline check OK against %s: network bytes and ledger ops identical, farm, lint and exec \
+       counts identical, model/farm/lint/exec timings within %gx\n%!"
+      (Option.get !baseline) cfg.drift;
+  if failed || breaches <> [] then exit 1;
   print_newline ()

@@ -77,7 +77,7 @@ trap 'rm -rf "$tmp"' EXIT
 dune exec bench/main.exe -- micro --quick --json "$tmp/BENCH_run.json" | tee "$tmp/bench.out"
 test -s "$tmp/BENCH_run.json" || { echo "BENCH_run.json missing or empty" >&2; exit 1; }
 grep -q "parsed back OK" "$tmp/bench.out" || { echo "summary did not parse back" >&2; exit 1; }
-grep -q '"schema":"zaatar-bench-run/1"' "$tmp/BENCH_run.json" || { echo "summary schema missing" >&2; exit 1; }
+grep -q '"schema":"zaatar-bench-run/2"' "$tmp/BENCH_run.json" || { echo "summary schema missing" >&2; exit 1; }
 
 echo "== multiexp smoke (kernel vs naive ladder) =="
 # The multiexp experiment cross-checks every exponentiation kernel
@@ -86,7 +86,7 @@ echo "== multiexp smoke (kernel vs naive ladder) =="
 dune exec bench/main.exe -- multiexp --quick --json "$tmp/MULTIEXP_run.json" | tee "$tmp/multiexp.out"
 grep -q "multiexp kernels agree" "$tmp/multiexp.out" || { echo "multiexp kernels diverged from the naive ladder" >&2; exit 1; }
 grep -q '"multiexp"' "$tmp/MULTIEXP_run.json" || { echo "multiexp section missing from summary" >&2; exit 1; }
-grep -q '"kernels_agree":true' "$tmp/MULTIEXP_run.json" || { echo "multiexp kernels_agree not recorded" >&2; exit 1; }
+grep -q '"kernels_agree":1' "$tmp/MULTIEXP_run.json" || { echo "multiexp kernels_agree not recorded" >&2; exit 1; }
 
 echo "== wire smoke (loopback byte accounting) =="
 # The wire experiment runs a batch through the split V/P session machinery
@@ -94,7 +94,7 @@ echo "== wire smoke (loopback byte accounting) =="
 dune exec bench/main.exe -- wire --quick --json "$tmp/WIRE_run.json" | tee "$tmp/wire.out"
 grep -q "sent and received bytes balance" "$tmp/wire.out" || { echo "wire bytes did not balance" >&2; exit 1; }
 grep -q '"network"' "$tmp/WIRE_run.json" || { echo "network section missing from summary" >&2; exit 1; }
-grep -q '"balanced":true' "$tmp/WIRE_run.json" || { echo "network balance not recorded" >&2; exit 1; }
+grep -q '"balanced":1' "$tmp/WIRE_run.json" || { echo "network balance not recorded" >&2; exit 1; }
 
 echo "== cost model gate (bench --check-model) =="
 # The model experiment records predicted vs. measured prover seconds per
@@ -138,8 +138,8 @@ dune exec bench/main.exe -- ntt-vs-lagrange --quick --json "$tmp/NTT_run.json" |
 grep -q "verdicts ok" "$tmp/ntt.out" || { echo "backend verdicts diverged" >&2; exit 1; }
 grep -q "H ok" "$tmp/ntt.out" || { echo "NTT H does not match the reference" >&2; exit 1; }
 grep -q '"ntt_vs_lagrange"' "$tmp/NTT_run.json" || { echo "ntt_vs_lagrange section missing from summary" >&2; exit 1; }
-grep -q '"verdicts_agree":true' "$tmp/NTT_run.json" || { echo "verdict agreement not recorded" >&2; exit 1; }
-grep -q '"h_matches_reference":true' "$tmp/NTT_run.json" || { echo "H reference equality not recorded" >&2; exit 1; }
+grep -q '"verdicts_agree":1' "$tmp/NTT_run.json" || { echo "verdict agreement not recorded" >&2; exit 1; }
+grep -q '"h_matches_reference":1' "$tmp/NTT_run.json" || { echo "H reference equality not recorded" >&2; exit 1; }
 
 echo "== profile smoke (zaatar profile, folded stacks) =="
 # The profile subcommand must pass its op audit on the shipped matmul
